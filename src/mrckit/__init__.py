@@ -21,6 +21,7 @@ from .core import (
     FeatureMap,
     LogLoss,
     LogRelativeLoss,
+    Loss,
     MrcModel,
     ZeroOneLoss,
     beta_of_alpha,
@@ -40,13 +41,7 @@ from .features import (
     hoeffding_widths,
 )
 from .marginals import train_adversarial01, train_logreg
-from .predictors import (
-    predict_alpha,
-    predict_labels,
-    predict_log,
-    predict_probs,
-    predict_zero_one,
-)
+from .predictors import predict_labels, predict_probs, sample_labels
 from .solver import (
     SolverConfig,
     train_mrc,
@@ -65,6 +60,7 @@ __all__ = [
     "FeatureMap",
     "LogLoss",
     "LogRelativeLoss",
+    "Loss",
     "MrcModel",
     "SolverConfig",
     "StumpSpec",
@@ -80,11 +76,9 @@ __all__ = [
     "generalization_slack",
     "hoeffding_widths",
     "lower_bound",
-    "predict_alpha",
     "predict_labels",
-    "predict_log",
     "predict_probs",
-    "predict_zero_one",
+    "sample_labels",
     "score",
     "train_adversarial01",
     "train_logreg",

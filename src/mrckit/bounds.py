@@ -11,23 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (
-    AlphaLoss,
-    BoundReport,
-    ConstraintAtoms,
-    ExpectationBox,
-    LogLoss,
-    Loss,
-    MrcModel,
-    ZeroOneLoss,
-)
-from .predictors import alpha_probs
+from .core import BoundReport, ConstraintAtoms, ExpectationBox, MrcModel
 from .simplex import OPTIMAL, solve_lp
 
 __all__ = [
     "upper_bound",
-    "atom_loss_table",
-    "loss_table_for_rule",
     "model_loss_table",
     "lower_bound",
     "lower_bound_over_distributions",
@@ -43,52 +31,9 @@ def upper_bound(model: MrcModel, box: ExpectationBox) -> float:
     return float(box.half_width @ np.abs(w) - box.midpoint @ w - model.offset)
 
 
-def atom_loss_table(model: MrcModel, atoms: ConstraintAtoms) -> np.ndarray:
-    """Per-pattern, per-label loss of the model's own rule, in closed form.
-
-    0-1: 1 - (score + offset + 1)_+ / c_j, falling back to 1 - 1/K when the
-    normalizer c_j vanishes.  Log: logsumexp(scores) - score (offset-free).
-    Alpha models go through the generic rule-loss route instead.
-    """
-    scores = atoms.scores(model.weights)
-    if isinstance(model.loss, ZeroOneLoss):
-        pos = np.clip(scores + model.offset + 1.0, 0.0, None)
-        c = pos.sum(axis=1, keepdims=True)
-        k = atoms.num_classes
-        return np.where(c > 0.0, 1.0 - pos / np.where(c > 0.0, c, 1.0), 1.0 - 1.0 / k)
-    if isinstance(model.loss, LogLoss):
-        vmax = scores.max(axis=1, keepdims=True)
-        lse = vmax + np.log(np.exp(scores - vmax).sum(axis=1, keepdims=True))
-        return lse - scores
-    raise ValueError(
-        "closed-form loss tables exist for 0-1 and log losses only; "
-        "use loss_table_for_rule for alpha rules"
-    )
-
-
-def loss_table_for_rule(loss: Loss, rule_rows) -> np.ndarray:
-    """Loss of arbitrary conditional rows at every label: table[j, y-1] = L(h_j, y)."""
-    H = np.atleast_2d(np.asarray(rule_rows, dtype=np.float64))
-    if isinstance(loss, ZeroOneLoss):
-        return 1.0 - H
-    if isinstance(loss, LogLoss):
-        with np.errstate(divide="ignore"):
-            return -np.log(H)
-    if isinstance(loss, AlphaLoss):
-        b = loss.beta
-        with np.errstate(divide="ignore"):
-            return b * (1.0 - H ** (1.0 / b))
-    raise TypeError(f"unsupported loss {loss!r}")
-
-
 def model_loss_table(model: MrcModel, atoms: ConstraintAtoms) -> np.ndarray:
-    """Per-pattern losses of the model's own rule, any loss (alpha included)."""
-    if isinstance(model.loss, AlphaLoss):
-        rows = alpha_probs(
-            atoms.scores(model.weights), model.offset, model.loss.alpha
-        )
-        return loss_table_for_rule(model.loss, rows)
-    return atom_loss_table(model, atoms)
+    """Per-pattern, per-label loss of the model's own rule."""
+    return model.loss.rule_loss(atoms.scores(model.weights), model.offset)
 
 
 def _score_constraint_rows(atoms: ConstraintAtoms):

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import bounds as bounds_mod
-from .core import AlphaLoss, Dataset, LogLoss, ZeroOneLoss
+from .core import LOG, MAX_CLASSES_EXACT_LP, ZERO_ONE, Dataset, Loss
 from .data_io import (
     InputError,
     load_dataset,
@@ -33,6 +33,7 @@ from .features import (
     estimate_expectations,
     fit_thresholds,
     hoeffding_widths,
+    widths_vector,
 )
 from .marginals import train_adversarial01, train_logreg
 from .oracle import brute_force_max_entropy
@@ -44,19 +45,6 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 METHODS = ("mrc-zero-one", "mrc-log", "adversarial-zero-one", "logistic-regression")
-
-
-def _parse_loss(text):
-    if text == "zero-one":
-        return ZeroOneLoss()
-    if text == "log":
-        return LogLoss()
-    if text.startswith("alpha:"):
-        try:
-            return AlphaLoss(float(text.split(":", 1)[1]))
-        except ValueError as exc:
-            raise InputError(f"bad alpha loss spec {text!r}: {exc}") from exc
-    raise InputError(f"unknown loss {text!r} (use zero-one, log, or alpha:<a>)")
 
 
 def _parse_widths(text, fm):
@@ -75,34 +63,27 @@ def _parse_widths(text, fm):
             widths = np.loadtxt(path, dtype=np.float64).ravel()
         except (OSError, ValueError) as exc:
             raise InputError(f"cannot read widths file {path}: {exc}") from exc
-        if widths.shape != (fm.dim,):
-            raise InputError(
-                f"widths file has {widths.shape[0]} entries, feature map needs {fm.dim}"
-            )
-        return widths, text
+    else:
+        try:
+            widths = float(text)
+        except ValueError as exc:
+            raise InputError(f"bad width policy {text!r}") from exc
     try:
-        scalar = float(text)
+        return widths_vector(widths, fm.dim), text
     except ValueError as exc:
-        raise InputError(f"bad width policy {text!r}") from exc
-    if scalar < 0.0:
-        raise InputError("widths must be nonnegative")
-    return np.full(fm.dim, scalar), text
+        raise InputError(f"width policy {text!r}: {exc}") from exc
 
 
 def _solver_config(args):
-    return SolverConfig(
-        max_iters=args.max_iters,
-        step_rule=args.step_rule,
-        c=args.step_c,
-        seed=args.seed,
-    )
+    return SolverConfig(max_iters=args.max_iters, step_rule=args.step_rule, c=args.step_c)
 
 
 def _train_one(loss, box, atoms, cfg, fm, solver):
     if solver == "auto":
-        solver = "exact" if isinstance(loss, ZeroOneLoss) and fm.num_classes <= 12 else "subgradient"
+        exact = loss == ZERO_ONE and fm.num_classes <= MAX_CLASSES_EXACT_LP
+        solver = "exact" if exact else "subgradient"
     if solver == "exact":
-        if not isinstance(loss, ZeroOneLoss):
+        if loss != ZERO_ONE:
             raise InputError("the exact LP path applies to zero-one loss only")
         return train_zero_one_exact(box, atoms, cfg, feature_map=fm)
     return train_mrc(loss, box, atoms, cfg, feature_map=fm)
@@ -113,7 +94,6 @@ def _add_solver_flags(p):
     p.add_argument("--max-iters", type=int, default=20000)
     p.add_argument("--step-c", type=float, default=0.3)
     p.add_argument("--step-rule", choices=("diminishing", "constant"), default="diminishing")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-leaves", type=int, default=20)
 
 
@@ -128,7 +108,7 @@ def cmd_featurize(args):
 
 def cmd_train(args):
     data = load_dataset(args.data, args.classes)
-    loss = _parse_loss(args.loss)
+    loss = Loss.from_spec(args.loss)
     fm = fit_thresholds(data, StumpSpec(args.max_leaves))
     widths, policy = _parse_widths(getattr(args, "lambda"), fm)
     box = estimate_expectations(fm, data, widths)
@@ -186,6 +166,10 @@ def _write_csv(path, header, rows):
             out.close()
 
 
+def _risk_name(loss):
+    return loss.name.replace("-", "_") + "_risk"
+
+
 def cmd_eval(args):
     model, meta = load_model(args.model)
     data = load_dataset(args.data, model.num_classes)
@@ -194,24 +178,18 @@ def cmd_eval(args):
             f"data has {data.num_classes} classes, model expects {model.num_classes}"
         )
     probs = predict_probs(model, data.instances)
+    # the 0-1 and log risks always, then the model's own (a no-op for those two)
     risks = {
-        "zero_one_risk": empirical_risk(ZeroOneLoss(), probs, data),
-        "log_risk": empirical_risk(LogLoss(), probs, data),
+        _risk_name(loss): empirical_risk(loss, probs, data)
+        for loss in (ZERO_ONE, LOG, model.loss)
     }
-    if isinstance(model.loss, AlphaLoss):
-        risks["alpha_risk"] = empirical_risk(model.loss, probs, data)
     for name, value in risks.items():
         print(f"{name} {value!r}")
     if args.bounds:
         stored = meta.get("bounds")
         if stored is None:
             raise InputError("model file carries no stored bounds (train with --lower)")
-        own = {
-            ZeroOneLoss: "zero_one_risk",
-            LogLoss: "log_risk",
-            AlphaLoss: "alpha_risk",
-        }[type(model.loss)]
-        risk = risks[own]
+        risk = risks[_risk_name(model.loss)]
         ok = stored["lower"] <= risk <= stored["upper"]
         print(f"sandwich {stored['lower']!r} <= {risk!r} <= {stored['upper']!r} {'ok' if ok else 'VIOLATED'}")
     return EXIT_OK
@@ -270,6 +248,10 @@ def _stratified_split(data: Dataset, n_train, n_test, rng):
         per_class[y] = np.nonzero(data.labels == y)[0]
     counts = {y: idx.shape[0] for y, idx in per_class.items()}
     total = data.n
+    if n_train + n_test > total:
+        raise InputError(
+            f"dataset too small: {total} rows cannot supply {n_train} train + {n_test} test"
+        )
     take = {y: int(round(n_train * counts[y] / total)) for y in per_class}
     # fix rounding drift while keeping every class nonempty where possible
     drift = n_train - sum(take.values())
@@ -288,10 +270,6 @@ def _stratified_split(data: Dataset, n_train, n_test, rng):
         train_idx.append(picked)
     train_idx = np.concatenate(train_idx)
     rest = np.setdiff1d(np.arange(total), train_idx)
-    if rest.shape[0] < n_test:
-        raise InputError(
-            f"dataset too small: {total} rows cannot supply {n_train} train + {n_test} test"
-        )
     test_idx = rng.choice(rest, size=n_test, replace=False)
     return train_idx, test_idx
 
@@ -320,27 +298,17 @@ def _run_cell(payload):
 
     rows = []
     for method in cfg["methods"]:
-        if method == "mrc-zero-one":
-            if num_classes <= 12:
-                model = train_zero_one_exact(box, atoms, solver_cfg, feature_map=fm)
-            else:
-                model = train_mrc(ZeroOneLoss(), box, atoms, solver_cfg, feature_map=fm)
+        if method in ("mrc-zero-one", "mrc-log"):
+            loss = ZERO_ONE if method == "mrc-zero-one" else LOG
+            model = _train_one(loss, box, atoms, solver_cfg, fm, "auto")
             report = bounds_mod.bound_report(model, box, atoms)
-            risk = empirical_risk(ZeroOneLoss(), predict_probs(model, test.instances), test)
-            rows.append((n, rep, method, risk, report.upper, report.lower))
-        elif method == "mrc-log":
-            model = train_mrc(LogLoss(), box, atoms, solver_cfg, feature_map=fm)
-            report = bounds_mod.bound_report(model, box, atoms)
-            risk = empirical_risk(LogLoss(), predict_probs(model, test.instances), test)
-            rows.append((n, rep, method, risk, report.upper, report.lower))
-        elif method == "adversarial-zero-one":
-            model = train_adversarial01(train, fm, widths, solver_cfg)
-            risk = empirical_risk(ZeroOneLoss(), predict_probs(model, test.instances), test)
-            rows.append((n, rep, method, risk, None, None))
-        elif method == "logistic-regression":
-            model = train_logreg(train, fm, widths, solver_cfg)
-            risk = empirical_risk(LogLoss(), predict_probs(model, test.instances), test)
-            rows.append((n, rep, method, risk, None, None))
+            upper, lower = report.upper, report.lower
+        else:
+            trainer = train_adversarial01 if method == "adversarial-zero-one" else train_logreg
+            model = trainer(train, fm, widths, solver_cfg)
+            upper = lower = None
+        risk = empirical_risk(model.loss, predict_probs(model, test.instances), test)
+        rows.append((n, rep, method, risk, upper, lower))
     return rows
 
 
@@ -377,7 +345,7 @@ def cmd_experiment(args):
 
 def cmd_oracle(args):
     data = load_dataset(args.data, args.classes)
-    loss = _parse_loss(args.loss)
+    loss = Loss.from_spec(args.loss)
     fm = fit_thresholds(data, StumpSpec(args.max_leaves))
     distinct = np.unique(data.instances, axis=0)
     cells = distinct.shape[0] * data.num_classes

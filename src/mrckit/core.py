@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,23 +55,184 @@ def beta_of_alpha(alpha: float) -> float:
     return alpha / (alpha - 1.0)
 
 
+def _xlogx(p):
+    """p log p elementwise, with 0 log 0 = 0."""
+    out = np.zeros_like(p)
+    mask = p > 0.0
+    out[mask] = p[mask] * np.log(p[mask])
+    return out
+
+
 class Loss:
-    """Base marker for the supported loss families."""
+    """A loss family and everything the maximum-entropy framework derives from it.
+
+    A loss fixes its score table L(q, y), the generalized entropy
+    H(p) = sum_x min_q sum_y p(x, y) L(q, y), the dual constraint whose
+    largest feasible offset eliminates the scalar multiplier, the MRC rule
+    read off the dual parameters, and the loss that rule incurs.  Scores are
+    (n, K) arrays of linear scores per row and label; offsets are scalars or
+    per-row columns.  Parts a subclass does not implement raise TypeError.
+
+    The dual-offset formulas live in ``solver`` (which imports this module),
+    so the methods reach them through that module at call time.
+    """
 
     name = "abstract"
 
     def __repr__(self):
         return f"{type(self).__name__}()"
 
+    def loss_table(self, probs) -> np.ndarray:
+        """Loss of probability rows at every label: table[..., y-1] = L(q, y).
+
+        Zero probabilities give +inf under the log families.
+        """
+        raise TypeError(f"unsupported loss {self!r}")
+
+    def entropy(self, joint) -> np.ndarray:
+        """Generalized entropy of joint tables shaped (..., instances, labels)."""
+        raise TypeError(f"unsupported loss {self!r}")
+
+    def rule(self, scores, offset) -> np.ndarray:
+        """Conditional probability rows of the MRC rule at raw (n, K) scores."""
+        raise TypeError(f"no prediction rule for loss {self!r}")
+
+    def rule_loss(self, scores, offset) -> np.ndarray:
+        """Loss of the rule's own rows at every label, shape (n, K)."""
+        return self.loss_table(self.rule(scores, offset))
+
+    def instance_rule(self, scores) -> np.ndarray:
+        """The rule with each row's own largest feasible offset, as models
+        that fix the instances' marginal predict."""
+        return self.rule(scores, self.offset(scores)[:, None])
+
+    def offset(self, scores, tol=1e-10):
+        """Largest offset keeping the dual constraint feasible, per score row.
+
+        ``tol`` is the bracket width of losses whose offset is bisected.
+        """
+        raise TypeError(f"no dual offset for loss {self!r}")
+
+    def active_label_weights(self, scores, tol=1e-10):
+        """Per-row offsets with, per row, the label weights of a subgradient.
+
+        Returns (offsets, weights): weights[j] is a distribution over labels
+        such that the pattern of row j written into each label block with
+        these weights is a subgradient of -offset_j.  One pass yields both,
+        since the offset computation finds the active labels anyway.
+        """
+        raise TypeError(f"no dual offset for loss {self!r}")
+
+    def residual(self, scores, offset) -> float:
+        """Worst violation of the dual constraint over the score rows (<= 0 is feasible)."""
+        raise TypeError(f"no dual constraint for loss {self!r}")
+
+    def to_json(self) -> dict:
+        """Model-file fields naming this loss; ``from_spec`` reads them back."""
+        return {"loss": self.name}
+
+    @staticmethod
+    def from_spec(spec) -> "Loss":
+        """The loss named by CLI text ("zero-one", "log", "alpha:<a>") or by
+        the ``to_json`` fields of a model file."""
+        if isinstance(spec, dict):
+            name, alpha = spec.get("loss"), spec.get("alpha")
+        elif spec.startswith("alpha:"):
+            name, alpha = "alpha", spec[len("alpha:") :]
+        else:
+            name, alpha = spec, None
+        if name == "zero-one":
+            return ZeroOneLoss()
+        if name == "log":
+            return LogLoss()
+        if name == "alpha" and alpha is not None:
+            try:
+                return AlphaLoss(float(alpha))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"bad alpha {alpha!r}: {exc}") from exc
+        raise ValueError(f"unknown loss {name!r} (use zero-one, log, or alpha:<a>)")
+
 
 @dataclass(frozen=True, repr=False)
 class ZeroOneLoss(Loss):
     name = "zero-one"
 
+    def loss_table(self, probs):
+        return 1.0 - np.asarray(probs, dtype=np.float64)
+
+    def entropy(self, joint):
+        return 1.0 - np.asarray(joint, dtype=np.float64).max(axis=-1).sum(axis=-1)
+
+    def rule(self, scores, offset):
+        """Normalized positive parts (score + offset + 1)_+, uniform where they vanish."""
+        v = np.clip(np.atleast_2d(scores) + offset + 1.0, 0.0, None)
+        totals = v.sum(axis=1, keepdims=True)
+        k = v.shape[1]
+        return np.where(totals > 0.0, v / np.where(totals > 0.0, totals, 1.0), 1.0 / k)
+
+    def offset(self, scores, tol=1e-10):
+        from . import solver
+
+        return solver.max_offset_zero_one(scores)
+
+    def active_label_weights(self, scores, tol=1e-10):
+        """Uniform weights on each row's minimizing label subset."""
+        from . import solver
+
+        v = np.atleast_2d(scores)
+        offsets, order, size = solver.max_offset_zero_one(v, return_support=True)
+        in_subset = np.arange(v.shape[1]) < size[:, None]  # in sorted order
+        weights = np.zeros_like(v)
+        weights[np.arange(v.shape[0])[:, None], order] = in_subset / size[:, None]
+        return offsets, weights
+
+    def residual(self, scores, offset):
+        lhs = np.clip(scores + offset + 1.0, 0.0, None).sum(axis=1)
+        return float((lhs - 1.0).max())
+
 
 @dataclass(frozen=True, repr=False)
 class LogLoss(Loss):
     name = "log"
+
+    def loss_table(self, probs):
+        with np.errstate(divide="ignore"):
+            return -np.log(np.asarray(probs, dtype=np.float64))
+
+    def entropy(self, joint):
+        p = np.asarray(joint, dtype=np.float64)
+        return _xlogx(p.sum(axis=-1)).sum(axis=-1) - _xlogx(p).sum(axis=(-2, -1))
+
+    def rule(self, scores, offset):
+        """Row softmax of the scores; the trained offset cancels."""
+        v = np.atleast_2d(scores)
+        v = v - v.max(axis=1, keepdims=True)
+        e = np.exp(v)
+        return e / e.sum(axis=1, keepdims=True)
+
+    def rule_loss(self, scores, offset):
+        """logsumexp(scores) - score, offset-free."""
+        vmax = scores.max(axis=1, keepdims=True)
+        lse = vmax + np.log(np.exp(scores - vmax).sum(axis=1, keepdims=True))
+        return lse - scores
+
+    def offset(self, scores, tol=1e-10):
+        from . import solver
+
+        return solver.max_offset_log(scores)
+
+    def instance_rule(self, scores):
+        return self.rule(scores, None)  # the offset cancels; skip computing it
+
+    def active_label_weights(self, scores, tol=1e-10):
+        """The softmax of each row."""
+        return self.offset(scores), self.rule(scores, None)
+
+    def residual(self, scores, offset):
+        shifted = scores + offset
+        vmax = shifted.max(axis=1)
+        lhs = vmax + np.log(np.exp(shifted - vmax[:, None]).sum(axis=1))
+        return float(lhs.max())
 
 
 @dataclass(frozen=True)
@@ -90,10 +252,73 @@ class AlphaLoss(Loss):
     def beta(self) -> float:
         return beta_of_alpha(self.alpha)
 
+    def loss_table(self, probs):
+        b = self.beta
+        with np.errstate(divide="ignore"):
+            return b * (1.0 - np.asarray(probs, dtype=np.float64) ** (1.0 / b))
+
+    def entropy(self, joint):
+        a, b = self.alpha, self.beta
+        inner = (np.asarray(joint, dtype=np.float64) ** a).sum(axis=-1) ** (1.0 / a)
+        return b * (1.0 - inner.sum(axis=-1))
+
+    def rule(self, scores, offset):
+        """Base masses ((score + offset)/beta + 1)_+^beta with slack spread uniformly.
+
+        Dual feasibility keeps each base row summing to at most 1; the uniform
+        allocation of the deficit keeps the rule deterministic and symmetric.
+        A row exceeding 1 + 1e-9 indicates an infeasible model and is a hard
+        error.
+        """
+        beta = self.beta
+        t = (np.atleast_2d(scores) + offset) / beta + 1.0
+        if beta > 0:
+            base = np.clip(t, 0.0, None) ** beta
+        else:
+            base = np.where(t > 0.0, np.clip(t, 1e-300, None) ** beta, np.inf)
+        totals = base.sum(axis=1)
+        if np.any(totals > 1.0 + 1e-9):
+            raise RuntimeError(
+                f"alpha rule base masses sum to {totals.max():.6g} > 1: infeasible parameters"
+            )
+        k = base.shape[1]
+        slack = np.clip(1.0 - totals, 0.0, None)
+        out = base + slack[:, None] / k
+        over = totals > 1.0  # within tol: renormalize instead of going negative
+        if np.any(over):
+            out[over] = base[over] / totals[over, None]
+        return out
+
+    def offset(self, scores, tol=1e-10):
+        from . import solver
+
+        return solver.max_offset_alpha(scores, self.alpha, tol=tol)
+
+    def active_label_weights(self, scores, tol=1e-10):
+        """Normalized derivatives ((score + offset)/beta + 1)_+^(beta-1)."""
+        offsets = self.offset(scores, tol)
+        beta = self.beta
+        t = np.clip((scores + offsets[:, None]) / beta + 1.0, 0.0, None)
+        with np.errstate(divide="ignore"):  # 0^(beta-1) for beta < 0, masked out
+            weights = np.where(t > 0.0, t ** (beta - 1.0), 0.0)
+        return offsets, weights / weights.sum(axis=1, keepdims=True)
+
+    def residual(self, scores, offset):
+        from . import solver
+
+        lhs = solver._alpha_constraint(scores, np.full(scores.shape[0], offset), self.beta)
+        return float((lhs - 1.0).max())
+
+    def to_json(self):
+        return {"loss": self.name, "alpha": self.alpha}
+
 
 @dataclass(frozen=True)
 class LogRelativeLoss(Loss):
-    """Log loss measured relative to a fixed reference label distribution."""
+    """Log loss measured relative to a fixed reference label distribution.
+
+    Scores and entropies only: it has no dual offset, so it cannot be trained.
+    """
 
     reference: np.ndarray
     name = "log-relative"
@@ -107,6 +332,23 @@ class LogRelativeLoss(Loss):
         if abs(ref.sum() - 1.0) > 1e-12:
             raise ValueError("reference must sum to 1 within 1e-12")
         object.__setattr__(self, "reference", ref)
+
+    def loss_table(self, probs):
+        with np.errstate(divide="ignore"):
+            return np.log(self.reference) - np.log(np.asarray(probs, dtype=np.float64))
+
+    def entropy(self, joint):
+        """sum p(x,y) log(p(x) p0(y) / p(x,y)), with 0 log 0 = 0."""
+        p = np.asarray(joint, dtype=np.float64)
+        if self.reference.shape[0] != p.shape[-1]:
+            raise ValueError("reference distribution has the wrong number of labels")
+        px = p.sum(axis=-1, keepdims=True)
+        mask = p > 0.0
+        ratio = np.where(mask, px * self.reference / np.where(mask, p, 1.0), 1.0)
+        return np.where(mask, p * np.log(ratio), 0.0).sum(axis=(-2, -1))
+
+    def to_json(self):
+        raise ValueError(f"loss {self!r} has no file representation")
 
 
 ZERO_ONE = ZeroOneLoss()
@@ -229,11 +471,7 @@ class FeatureMap:
         Indicator blocks move between occupied and unoccupied label slots, so
         with >=2 classes every coordinate attains both 0 and 1.
         """
-        lo = np.zeros(self.dim)
-        hi = np.ones(self.dim)
-        if self.num_classes == 1:  # degenerate, kept for generality
-            lo[:: self.block_size] = 1.0
-        return lo, hi
+        return np.zeros(self.dim), np.ones(self.dim)
 
 
 @dataclass(frozen=True)
@@ -280,15 +518,15 @@ class ExpectationBox:
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    @property
+    @cached_property
     def half_width(self) -> np.ndarray:
         """(upper - lower) / 2, identical to widths/sqrt(n)."""
-        return (self.upper - self.lower) / 2.0
+        return _frozen((self.upper - self.lower) / 2.0)
 
-    @property
+    @cached_property
     def midpoint(self) -> np.ndarray:
         """(upper + lower) / 2."""
-        return (self.upper + self.lower) / 2.0
+        return _frozen((self.upper + self.lower) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -350,7 +588,7 @@ class MrcModel:
     offset, or "instance_marginal" for fixed instances'-marginal models whose
     offset is recomputed per instance at prediction time.  The feature map is
     optional so solvers can emit models straight from constraint patterns;
-    predicting on raw instances requires one (see ``with_feature_map``).
+    predicting on raw instances requires one.
     """
 
     loss: Loss
@@ -389,21 +627,9 @@ class MrcModel:
     def block_size(self) -> int:
         return self.weights.shape[0] // self.num_classes
 
-    def with_feature_map(self, fm: FeatureMap) -> "MrcModel":
-        return MrcModel(
-            loss=self.loss,
-            weights=self.weights,
-            offset=self.offset,
-            objective_value=self.objective_value,
-            num_classes=self.num_classes,
-            feature_map=fm,
-            variant=self.variant,
-            converged=self.converged,
-        )
-
     def score_matrix(self, X) -> np.ndarray:
         if self.feature_map is None:
-            raise ValueError("model carries no feature map; attach one first")
+            raise ValueError("model carries no feature map")
         return self.feature_map.score_matrix(X, self.weights)
 
 

@@ -14,15 +14,7 @@ import json
 
 import numpy as np
 
-from .core import (
-    AlphaLoss,
-    Dataset,
-    FeatureMap,
-    LogLoss,
-    Loss,
-    MrcModel,
-    ZeroOneLoss,
-)
+from .core import Dataset, FeatureMap, Loss, MrcModel
 
 __all__ = [
     "InputError",
@@ -118,27 +110,6 @@ def save_dataset(data: Dataset, path):
             )
 
 
-def _loss_fields(loss: Loss):
-    if isinstance(loss, ZeroOneLoss):
-        return {"loss": "zero-one"}
-    if isinstance(loss, LogLoss):
-        return {"loss": "log"}
-    if isinstance(loss, AlphaLoss):
-        return {"loss": "alpha", "alpha": loss.alpha}
-    raise InputError(f"loss {loss!r} has no file representation")
-
-
-def _loss_from_fields(obj):
-    name = obj.get("loss")
-    if name == "zero-one":
-        return ZeroOneLoss()
-    if name == "log":
-        return LogLoss()
-    if name == "alpha":
-        return AlphaLoss(float(obj["alpha"]))
-    raise InputError(f"unknown loss {name!r} in model file")
-
-
 _VARIANT_TO_JSON = {"expectation": "expectation", "instance_marginal": "instance-marginal"}
 _VARIANT_FROM_JSON = {v: k for k, v in _VARIANT_TO_JSON.items()}
 
@@ -149,7 +120,7 @@ def save_model(model: MrcModel, path, lambda_policy: str, n: int, bounds=None):
         raise InputError("cannot persist a model without a feature map")
     obj = {
         "format_version": FORMAT_VERSION,
-        **_loss_fields(model.loss),
+        **model.loss.to_json(),
         "variant": _VARIANT_TO_JSON[model.variant],
         "num_classes": model.num_classes,
         "thresholds": [[d, t] for d, t in model.feature_map.thresholds],
@@ -183,7 +154,7 @@ def load_model(path):
             thresholds=tuple((int(d), float(t)) for d, t in obj["thresholds"]),
         )
         model = MrcModel(
-            loss=_loss_from_fields(obj),
+            loss=Loss.from_spec(obj),
             weights=np.array(obj["mu"], dtype=np.float64),
             offset=float(obj["nu"]) if "nu" in obj else None,
             objective_value=float(obj["objective_value"]),
@@ -194,6 +165,9 @@ def load_model(path):
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed model file ({exc})") from exc
+    params = model.weights if model.offset is None else np.append(model.weights, model.offset)
+    if not np.all(np.isfinite(params)):
+        raise InputError(f"{path}: non-finite mu or nu in model file")
     meta = {
         "lambda_policy": obj.get("lambda_policy"),
         "n": obj.get("n"),

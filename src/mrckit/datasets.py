@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import loss_table_for_rule
 from .core import Dataset, FeatureMap, Loss
 from .entropies import ExplicitDistribution
 
@@ -70,7 +69,7 @@ class KnownJoint:
 
     def exact_risk(self, loss: Loss, rule_rows) -> float:
         """True expected loss of a rule given its probability rows per instance."""
-        table = loss_table_for_rule(loss, rule_rows)
+        table = loss.loss_table(rule_rows)
         contrib = np.where(self.probs > 0.0, table * self.probs, 0.0)
         return float(contrib.sum())
 

@@ -12,12 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AlphaLoss, Dataset, LogLoss, LogRelativeLoss, Loss, ZeroOneLoss
+from .core import Dataset, Loss
 
 __all__ = [
     "ExplicitDistribution",
     "score",
-    "score_matrix",
     "empirical_risk",
     "closed_form_entropy",
     "entropy_by_minimization",
@@ -69,49 +68,12 @@ def _check_distribution(q):
     return q
 
 
-def _xlogx(p):
-    out = np.zeros_like(p)
-    mask = p > 0.0
-    out[mask] = p[mask] * np.log(p[mask])
-    return out
-
-
 def score(loss: Loss, q, y: int) -> float:
     """Score of probability assessment q at label y for the given loss."""
     q = _check_distribution(q)
     if not 1 <= y <= q.shape[0]:
         raise ValueError(f"label {y} outside 1..{q.shape[0]}")
-    qy = q[y - 1]
-    if isinstance(loss, ZeroOneLoss):
-        return 1.0 - qy
-    if isinstance(loss, LogLoss):
-        return -np.log(qy) if qy > 0.0 else np.inf
-    if isinstance(loss, AlphaLoss):
-        b = loss.beta
-        return b * (1.0 - qy ** (1.0 / b))
-    if isinstance(loss, LogRelativeLoss):
-        p0 = loss.reference[y - 1]
-        return np.log(p0 / qy) if qy > 0.0 else np.inf
-    raise TypeError(f"unsupported loss {loss!r}")
-
-
-def score_matrix(loss: Loss, q) -> np.ndarray:
-    """Scores of q at every label, shape (K,).  Zero probabilities give +inf
-    under the log families."""
-    q = np.asarray(q, dtype=np.float64)
-    if isinstance(loss, ZeroOneLoss):
-        return 1.0 - q
-    if isinstance(loss, LogLoss):
-        with np.errstate(divide="ignore"):
-            return -np.log(q)
-    if isinstance(loss, AlphaLoss):
-        b = loss.beta
-        with np.errstate(divide="ignore"):
-            return b * (1.0 - q ** (1.0 / b))
-    if isinstance(loss, LogRelativeLoss):
-        with np.errstate(divide="ignore"):
-            return np.log(loss.reference) - np.log(q)
-    raise TypeError(f"unsupported loss {loss!r}")
+    return float(loss.loss_table(q)[y - 1])
 
 
 def empirical_risk(loss: Loss, rule_probs, data: Dataset) -> float:
@@ -122,52 +84,12 @@ def empirical_risk(loss: Loss, rule_probs, data: Dataset) -> float:
     H = np.atleast_2d(np.asarray(rule_probs, dtype=np.float64))
     if H.shape != (data.n, data.num_classes):
         raise ValueError(f"rule has shape {H.shape}, need ({data.n}, {data.num_classes})")
-    picked = H[np.arange(data.n), data.labels - 1]
-    if isinstance(loss, ZeroOneLoss):
-        return float(np.mean(1.0 - picked))
-    if isinstance(loss, LogLoss):
-        if np.any(picked == 0.0):
-            return np.inf
-        return float(np.mean(-np.log(picked)))
-    if isinstance(loss, AlphaLoss):
-        b = loss.beta
-        return float(b * (1.0 - np.mean(picked ** (1.0 / b))))
-    if isinstance(loss, LogRelativeLoss):
-        if np.any(picked == 0.0):
-            return np.inf
-        ref = loss.reference[data.labels - 1]
-        return float(np.mean(np.log(ref) - np.log(picked)))
-    raise TypeError(f"unsupported loss {loss!r}")
+    return float(np.mean(loss.loss_table(H)[np.arange(data.n), data.labels - 1]))
 
 
 def closed_form_entropy(loss: Loss, dist: ExplicitDistribution) -> float:
     """Bayes risk of an explicit distribution, evaluated in closed form."""
-    p = dist.probs
-    if isinstance(loss, ZeroOneLoss):
-        return float(1.0 - p.max(axis=1).sum())
-    if isinstance(loss, LogLoss):
-        px = dist.instance_marginal
-        joint = _xlogx(p).sum()
-        marg = _xlogx(px).sum()
-        return float(marg - joint)
-    if isinstance(loss, AlphaLoss):
-        a = loss.alpha
-        b = loss.beta
-        inner = (p**a).sum(axis=1) ** (1.0 / a)
-        return float(b * (1.0 - inner.sum()))
-    if isinstance(loss, LogRelativeLoss):
-        if loss.reference.shape[0] != dist.num_classes:
-            raise ValueError("reference distribution has the wrong number of labels")
-        px = dist.instance_marginal
-        # sum p(x,y) log(p(x) p0(y) / p(x,y)) with 0 log 0 = 0
-        total = 0.0
-        for i in range(dist.num_instances):
-            for y in range(dist.num_classes):
-                pij = p[i, y]
-                if pij > 0.0:
-                    total += pij * np.log(px[i] * loss.reference[y] / pij)
-        return float(total)
-    raise TypeError(f"unsupported loss {loss!r}")
+    return float(loss.entropy(dist.probs))
 
 
 def simplex_grid(num_classes: int, step: float) -> np.ndarray:
@@ -203,8 +125,7 @@ def entropy_by_minimization(
     grid = simplex_grid(dist.num_classes, grid_step)
     # score table L(q, y) for every grid point, (G, K); inf rows are fine,
     # they simply never win the minimum when the mass is positive.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        table = np.stack([score_matrix(loss, q) for q in grid])
+    table = loss.loss_table(grid)
     total = 0.0
     for i in range(dist.num_instances):
         row = dist.probs[i]

@@ -20,6 +20,7 @@ __all__ = [
     "fit_thresholds",
     "stump_thresholds_1d",
     "estimate_expectations",
+    "widths_vector",
     "hoeffding_widths",
     "widths_from_feature_range",
     "constraint_atoms",
@@ -130,15 +131,21 @@ def feature_mean(fm: FeatureMap, data: Dataset) -> np.ndarray:
     return mean.ravel() / data.n
 
 
-def estimate_expectations(fm: FeatureMap, data: Dataset, widths) -> ExpectationBox:
-    """Empirical expectations plus the +-widths/sqrt(n) interval box."""
+def widths_vector(widths, dim: int) -> np.ndarray:
+    """Box widths as a finite, nonnegative dim-vector; a scalar is broadcast."""
     widths = np.asarray(widths, dtype=np.float64)
     if widths.ndim == 0:
-        widths = np.full(fm.dim, float(widths))
-    if widths.shape != (fm.dim,):
-        raise ValueError(f"widths must be scalar or have shape ({fm.dim},)")
-    if np.any(widths < 0.0):
-        raise ValueError("widths must be componentwise >= 0")
+        widths = np.full(dim, float(widths))
+    if widths.shape != (dim,):
+        raise ValueError(f"widths must be scalar or have shape ({dim},), got {widths.shape}")
+    if not np.all(np.isfinite(widths)) or np.any(widths < 0.0):
+        raise ValueError("widths must be finite and componentwise >= 0")
+    return widths
+
+
+def estimate_expectations(fm: FeatureMap, data: Dataset, widths) -> ExpectationBox:
+    """Empirical expectations plus the +-widths/sqrt(n) interval box."""
+    widths = widths_vector(widths, fm.dim)
     return ExpectationBox.from_mean(feature_mean(fm, data), widths, data.n)
 
 

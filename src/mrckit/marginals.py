@@ -15,13 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, FeatureMap, LogLoss, MrcModel, ZeroOneLoss
-from .features import feature_mean
-from .solver import SolverConfig, max_offset_log, max_offset_zero_one, subgradient_minimize
+from .core import LOG, ZERO_ONE, Dataset, FeatureMap, MrcModel
+from .features import feature_mean, widths_vector
+from .solver import SolverConfig, subgradient_minimize
 
 __all__ = [
-    "instance_offset_zero_one",
-    "instance_offset_log",
     "adversarial01_objective",
     "logreg_objective",
     "train_adversarial01",
@@ -30,31 +28,12 @@ __all__ = [
 ]
 
 
-def instance_offset_zero_one(weights, fm: FeatureMap, x) -> float:
-    """Largest per-instance dual offset under 0-1 loss (sorted-prefix scan)."""
-    return float(max_offset_zero_one(fm.score_matrix(np.atleast_2d(x), weights))[0])
-
-
-def instance_offset_log(weights, fm: FeatureMap, x) -> float:
-    """Largest per-instance dual offset under log loss: -logsumexp(scores)."""
-    return float(max_offset_log(fm.score_matrix(np.atleast_2d(x), weights))[0])
-
-
 def _grouped(fm: FeatureMap, data: Dataset):
     """Distinct indicator patterns with their empirical frequencies."""
     ind = fm.indicator_matrix(data.instances)
     patterns, inverse = np.unique(ind, axis=0, return_inverse=True)
     freq = np.bincount(inverse, minlength=patterns.shape[0]) / data.n
     return patterns, freq
-
-
-def _widths_vector(fm: FeatureMap, widths):
-    widths = np.asarray(widths, dtype=np.float64)
-    if widths.ndim == 0:
-        widths = np.full(fm.dim, float(widths))
-    if widths.shape != (fm.dim,) or np.any(widths < 0.0):
-        raise ValueError("widths must be a nonnegative scalar or m-vector")
-    return widths
 
 
 def _regularized(parts_value, parts_grad, widths, n, w):
@@ -68,15 +47,11 @@ def adversarial01_objective(weights, fm: FeatureMap, data: Dataset, widths=0.0):
     mean = feature_mean(fm, data)
     patterns, freq = _grouped(fm, data)
     scores = patterns @ w.reshape(fm.num_classes, fm.block_size).T
-    offs, order, ksz = max_offset_zero_one(scores, return_support=True)
+    offs, lab_w = ZERO_ONE.active_label_weights(scores)
     value = -mean @ w - freq @ offs
-    # per-group uniform weights on the minimizing label subset
-    lab_w = np.zeros_like(scores)
-    for g in range(patterns.shape[0]):
-        lab_w[g, order[g, : ksz[g]]] = 1.0 / ksz[g]
     grad_blocks = (lab_w * freq[:, None]).T @ patterns
     grad = -mean + grad_blocks.ravel()
-    return _regularized(value, grad, _widths_vector(fm, widths), data.n, w)
+    return _regularized(value, grad, widths_vector(widths, fm.dim), data.n, w)
 
 
 def logreg_objective(weights, fm: FeatureMap, data: Dataset, widths=0.0):
@@ -97,7 +72,7 @@ def logreg_objective(weights, fm: FeatureMap, data: Dataset, widths=0.0):
     grad_blocks = probs.T @ ind / data.n
     mean = feature_mean(fm, data)
     grad = grad_blocks.ravel() - mean
-    return _regularized(value, grad, _widths_vector(fm, widths), data.n, w)
+    return _regularized(value, grad, widths_vector(widths, fm.dim), data.n, w)
 
 
 def _train_fixed_marginal(loss, objective, fm, data, cfg):
@@ -119,7 +94,7 @@ def train_adversarial01(
 ) -> MrcModel:
     """Adversarial 0-1 classification (minimax-hinge empirical risk + L1)."""
     return _train_fixed_marginal(
-        ZeroOneLoss(),
+        ZERO_ONE,
         lambda w: adversarial01_objective(w, fm, data, widths),
         fm,
         data,
@@ -132,7 +107,7 @@ def train_logreg(
 ) -> MrcModel:
     """L1-regularized multinomial logistic regression."""
     return _train_fixed_marginal(
-        LogLoss(),
+        LOG,
         lambda w: logreg_objective(w, fm, data, widths),
         fm,
         data,
@@ -141,22 +116,7 @@ def train_logreg(
 
 
 def predict_fixed_marginal(model: MrcModel, X) -> np.ndarray:
-    """Conditional probabilities of a fixed-marginal model at instances X.
-
-    Log models are the softmax rule; 0-1 models normalize the positive parts
-    of score + 1 + per-instance offset, uniform where the normalizer vanishes.
-    """
+    """Conditional probabilities of a fixed-marginal model at instances X."""
     if model.variant != "instance_marginal":
         raise TypeError("predict_fixed_marginal needs an instance-marginal model")
-    scores = model.score_matrix(X)
-    if isinstance(model.loss, LogLoss):
-        v = scores - scores.max(axis=1, keepdims=True)
-        e = np.exp(v)
-        return e / e.sum(axis=1, keepdims=True)
-    if isinstance(model.loss, ZeroOneLoss):
-        offs = max_offset_zero_one(scores)
-        v = np.clip(scores + 1.0 + offs[:, None], 0.0, None)
-        totals = v.sum(axis=1, keepdims=True)
-        k = scores.shape[1]
-        return np.where(totals > 0.0, v / np.where(totals > 0.0, totals, 1.0), 1.0 / k)
-    raise TypeError(f"no fixed-marginal rule for loss {model.loss!r}")
+    return model.loss.instance_rule(model.score_matrix(X))

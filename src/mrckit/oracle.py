@@ -13,14 +13,7 @@ import warnings
 import numpy as np
 
 from .core import ConstraintAtoms, ExpectationBox, FeatureMap, Loss
-from .entropies import (
-    AlphaLoss,
-    LogLoss,
-    LogRelativeLoss,
-    ZeroOneLoss,
-    score_matrix,
-    simplex_grid,
-)
+from .entropies import simplex_grid
 
 __all__ = [
     "compositions",
@@ -61,31 +54,6 @@ def cell_features(fm: FeatureMap, instances) -> np.ndarray:
     X = np.atleast_2d(np.asarray(instances, dtype=np.float64))
     rows = [fm.instance_matrix(x) for x in X]
     return np.vstack(rows)
-
-
-def _entropy_rows(loss: Loss, P, nx: int, K: int) -> np.ndarray:
-    """Closed-form entropy of each row of P (rows are joint tables)."""
-    joint = P.reshape(-1, nx, K)
-    if isinstance(loss, ZeroOneLoss):
-        return 1.0 - joint.max(axis=2).sum(axis=1)
-
-    def xlogx(a):
-        return np.where(a > 0.0, a * np.log(np.clip(a, 1e-300, None)), 0.0)
-
-    if isinstance(loss, LogLoss):
-        px = joint.sum(axis=2)
-        return xlogx(px).sum(axis=1) - xlogx(joint).sum(axis=(1, 2))
-    if isinstance(loss, AlphaLoss):
-        a, b = loss.alpha, loss.beta
-        inner = (joint**a).sum(axis=2) ** (1.0 / a)
-        return b * (1.0 - inner.sum(axis=1))
-    if isinstance(loss, LogRelativeLoss):
-        px = joint.sum(axis=2)
-        ref = loss.reference[None, None, :]
-        safe = np.clip(joint, 1e-300, None)
-        terms = joint * (np.log(np.clip(px, 1e-300, None))[:, :, None] + np.log(ref) - np.log(safe))
-        return np.where(joint > 0.0, terms, 0.0).sum(axis=(1, 2))
-    raise TypeError(f"unsupported loss {loss!r}")
 
 
 def _feasible_mask(P, cell_phi, box: ExpectationBox, slack, marginal, nx, K, mslack):
@@ -131,7 +99,7 @@ def brute_force_max_entropy(
         if not ok.any():
             continue
         feasible += int(ok.sum())
-        values = _entropy_rows(loss, P[ok], nx, K)
+        values = loss.entropy(P[ok].reshape(-1, nx, K))
         top = float(values.max())
         if top > best:
             best = top
@@ -175,9 +143,7 @@ def exhaustive_minimax(
         return np.inf
 
     qgrid = simplex_grid(K, rule_grid_step)
-    with np.errstate(divide="ignore"):
-        table = np.stack([score_matrix(loss, q) for q in qgrid])
-    table = np.clip(table, None, _SCORE_CAP)
+    table = np.clip(loss.loss_table(qgrid), None, _SCORE_CAP)
     G = qgrid.shape[0]
     combos = np.stack(
         np.meshgrid(*([np.arange(G)] * nx), indexing="ij"), axis=-1

@@ -1,117 +1,31 @@
 """Prediction rules read off the trained dual parameters.
 
-Each loss has its own way of turning the linear scores into conditional
-probabilities; all of them inherit dual feasibility, so on every training
-pattern the emitted probabilities dominate the quantities the dual
-constraints bound.
+Each loss turns the linear scores into conditional probabilities with its own
+``rule``; all rules inherit dual feasibility, so on every training pattern
+the emitted probabilities dominate the quantities the dual constraints bound.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import AlphaLoss, LogLoss, Loss, MrcModel, ZeroOneLoss, beta_of_alpha
+from .core import Loss, MrcModel
 
 __all__ = [
-    "zero_one_probs",
-    "log_probs",
-    "alpha_probs",
     "rule_probs",
-    "predict_zero_one",
-    "predict_log",
-    "predict_alpha",
     "predict_probs",
     "predict_labels",
     "sample_labels",
 ]
 
 
-def zero_one_probs(scores, offset) -> np.ndarray:
-    """Normalized positive parts (score + offset + 1)_+, uniform where they vanish."""
-    v = np.clip(np.atleast_2d(scores) + offset + 1.0, 0.0, None)
-    totals = v.sum(axis=1, keepdims=True)
-    k = v.shape[1]
-    out = np.where(totals > 0.0, v / np.where(totals > 0.0, totals, 1.0), 1.0 / k)
-    return out
-
-
-def log_probs(scores) -> np.ndarray:
-    """Row softmax of the scores; the trained offset cancels."""
-    v = np.atleast_2d(scores)
-    v = v - v.max(axis=1, keepdims=True)
-    e = np.exp(v)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def alpha_probs(scores, offset, alpha: float, tol: float = 1e-9) -> np.ndarray:
-    """Base masses ((score + offset)/beta + 1)_+^beta with slack spread uniformly.
-
-    Dual feasibility keeps each base row summing to at most 1; the uniform
-    allocation of the deficit keeps the rule deterministic and symmetric.  A
-    row exceeding 1 + tol indicates an infeasible model and is a hard error.
-    """
-    beta = beta_of_alpha(alpha)
-    t = (np.atleast_2d(scores) + offset) / beta + 1.0
-    if beta > 0:
-        base = np.clip(t, 0.0, None) ** beta
-    else:
-        base = np.where(t > 0.0, np.clip(t, 1e-300, None) ** beta, np.inf)
-    totals = base.sum(axis=1)
-    if np.any(totals > 1.0 + tol):
-        raise RuntimeError(
-            f"alpha rule base masses sum to {totals.max():.6g} > 1: infeasible parameters"
-        )
-    k = base.shape[1]
-    slack = np.clip(1.0 - totals, 0.0, None)
-    out = base + slack[:, None] / k
-    over = totals > 1.0  # within tol: renormalize instead of going negative
-    if np.any(over):
-        out[over] = base[over] / totals[over, None]
-    return out
-
-
 def rule_probs(loss: Loss, scores, offset) -> np.ndarray:
     """Conditional probability rows for raw (n, K) scores under any loss."""
-    if isinstance(loss, ZeroOneLoss):
-        return zero_one_probs(scores, offset)
-    if isinstance(loss, LogLoss):
-        return log_probs(scores)
-    if isinstance(loss, AlphaLoss):
-        return alpha_probs(scores, offset, loss.alpha)
-    raise TypeError(f"no prediction rule for loss {loss!r}")
-
-
-def predict_zero_one(model: MrcModel, X, seed=None):
-    """0-1 rule probabilities for instances X; with a seed also sampled labels.
-
-    The randomized rule is the object the guarantees speak about, so the
-    probabilities are primary; sampling is seeded and reproducible.
-    """
-    if not isinstance(model.loss, ZeroOneLoss):
-        raise TypeError("predict_zero_one needs a 0-1 loss model")
-    probs = zero_one_probs(model.score_matrix(X), model.offset)
-    if seed is None:
-        return probs
-    return probs, sample_labels(probs, seed)
-
-
-def predict_log(model: MrcModel, X):
-    """Log rule probabilities and argmax labels (smallest index wins ties)."""
-    if not isinstance(model.loss, LogLoss):
-        raise TypeError("predict_log needs a log loss model")
-    probs = log_probs(model.score_matrix(X))
-    return probs, np.argmax(probs, axis=1) + 1
-
-
-def predict_alpha(model: MrcModel, X):
-    """alpha rule probabilities for instances X."""
-    if not isinstance(model.loss, AlphaLoss):
-        raise TypeError("predict_alpha needs an alpha loss model")
-    return alpha_probs(model.score_matrix(X), model.offset, model.loss.alpha)
+    return loss.rule(scores, offset)
 
 
 def predict_probs(model: MrcModel, X) -> np.ndarray:
-    """Dispatch on the model's loss; fixed-marginal models go through marginals."""
+    """The model's rule at instances X; fixed-marginal models go through marginals."""
     if model.variant != "expectation":
         from .marginals import predict_fixed_marginal
 

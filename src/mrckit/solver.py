@@ -25,10 +25,8 @@ import numpy as np
 
 from .core import (
     MAX_CLASSES_EXACT_LP,
-    AlphaLoss,
     ConstraintAtoms,
     ExpectationBox,
-    LogLoss,
     Loss,
     MrcModel,
     ZeroOneLoss,
@@ -57,7 +55,6 @@ class SolverConfig:
     tol: float = 1e-6
     step_rule: str = "diminishing"  # c/sqrt(t), or "constant" for c
     c: float = 0.3
-    seed: int = 0
     bisection_tol: float = 1e-10
 
     def __post_init__(self):
@@ -80,7 +77,7 @@ def max_offset_zero_one(values, return_support=False):
     """
     v = np.atleast_2d(np.asarray(values, dtype=np.float64))
     order = np.argsort(-v, axis=1, kind="stable")
-    sv = np.take_along_axis(v, order, axis=1)
+    sv = v[np.arange(v.shape[0])[:, None], order]
     k = np.arange(1, v.shape[1] + 1, dtype=np.float64)
     cand = (1.0 - np.cumsum(sv, axis=1) - k) / k
     kstar = np.argmin(cand, axis=1)
@@ -152,17 +149,6 @@ def max_offset_alpha(values, alpha, tol=1e-10):
     return out if np.asarray(values).ndim > 1 else float(out[0])
 
 
-def atom_offsets(loss: Loss, scores, bisection_tol=1e-10):
-    """Per-pattern largest feasible offsets for an (r, K) score matrix."""
-    if isinstance(loss, ZeroOneLoss):
-        return max_offset_zero_one(scores)
-    if isinstance(loss, LogLoss):
-        return max_offset_log(scores)
-    if isinstance(loss, AlphaLoss):
-        return max_offset_alpha(scores, loss.alpha, tol=bisection_tol)
-    raise TypeError(f"no dual offset for loss {loss!r}")
-
-
 @dataclass(frozen=True)
 class ReducedObjective:
     """The eliminated dual objective F(w) and one of its subgradients."""
@@ -179,7 +165,7 @@ class ReducedObjective:
             )
 
     def offsets(self, weights) -> np.ndarray:
-        return atom_offsets(self.loss, self.atoms.scores(weights), self.bisection_tol)
+        return self.loss.offset(self.atoms.scores(weights), self.bisection_tol)
 
     def best_offset(self, weights) -> float:
         return float(self.offsets(weights).min())
@@ -194,34 +180,13 @@ class ReducedObjective:
 
     def value_and_subgradient(self, weights):
         w = np.asarray(weights, dtype=np.float64)
-        scores = self.atoms.scores(w)
-        K = self.atoms.num_classes
-        blk = self.atoms.block_size
-
-        if isinstance(self.loss, ZeroOneLoss):
-            offs, order, ksz = max_offset_zero_one(scores, return_support=True)
-            j = int(np.argmin(offs))
-            weights_y = np.zeros(K)
-            weights_y[order[j, : ksz[j]]] = 1.0 / ksz[j]
-        elif isinstance(self.loss, LogLoss):
-            offs = max_offset_log(scores)
-            j = int(np.argmin(offs))
-            s = scores[j] - scores[j].max()
-            weights_y = np.exp(s)
-            weights_y /= weights_y.sum()
-        elif isinstance(self.loss, AlphaLoss):
-            offs = max_offset_alpha(scores, self.loss.alpha, self.bisection_tol)
-            j = int(np.argmin(offs))
-            beta = self.loss.beta
-            t = np.clip((scores[j] + offs[j]) / beta + 1.0, 0.0, None)
-            weights_y = np.where(t > 0.0, t ** (beta - 1.0), 0.0)
-            weights_y /= weights_y.sum()
-        else:
-            raise TypeError(f"no dual offset for loss {self.loss!r}")
-
+        offs, label_weights = self.loss.active_label_weights(
+            self.atoms.scores(w), self.bisection_tol
+        )
+        j = int(np.argmin(offs))
         # d(-min_j offset_j)/dw: the chosen pattern scattered into each label
-        # block with the per-label weights above.
-        grad_offset = np.outer(weights_y, self.atoms.patterns[j]).ravel()
+        # block with that pattern's label weights.
+        grad_offset = np.outer(label_weights[j], self.atoms.patterns[j]).ravel()
         value = float(
             self.box.half_width @ np.abs(w) - self.box.midpoint @ w - offs[j]
         )
@@ -351,17 +316,4 @@ def train_zero_one_exact(
 
 def dual_feasibility_residual(model: MrcModel, atoms: ConstraintAtoms) -> float:
     """Worst violation of the dual constraint over all patterns (<= 0 is feasible)."""
-    raw = atoms.scores(model.weights)
-    shifted = raw + model.offset
-    if isinstance(model.loss, ZeroOneLoss):
-        lhs = np.clip(shifted + 1.0, 0.0, None).sum(axis=1)
-        return float((lhs - 1.0).max())
-    if isinstance(model.loss, LogLoss):
-        vmax = shifted.max(axis=1)
-        lhs = vmax + np.log(np.exp(shifted - vmax[:, None]).sum(axis=1))
-        return float(lhs.max())
-    if isinstance(model.loss, AlphaLoss):
-        beta = model.loss.beta
-        lhs = _alpha_constraint(raw, np.full(atoms.count, model.offset), beta)
-        return float((lhs - 1.0).max())
-    raise TypeError(f"no dual constraint for loss {model.loss!r}")
+    return model.loss.residual(atoms.scores(model.weights), model.offset)

@@ -37,11 +37,9 @@ from mrckit.features import (
 from mrckit.marginals import adversarial01_objective, logreg_objective
 from mrckit.oracle import atoms_from_instances, brute_force_max_entropy, cell_features
 from mrckit.predictors import (
-    log_probs,
     predict_probs,
     rule_probs,
     sample_labels,
-    zero_one_probs,
 )
 from mrckit.solver import (
     ReducedObjective,
@@ -243,8 +241,8 @@ def test_criterion_5_prediction_contracts():
                 worst_inherit = max(worst_inherit, (floor - probs).max())
         # shift invariance of the log rule on raw instance scores
         shift = rng.normal()
-        a = log_probs(inst_scores)
-        b = log_probs(inst_scores + shift)
+        a = LG.rule(inst_scores, None)
+        b = LG.rule(inst_scores + shift, None)
         worst_shift = max(worst_shift, np.abs(a - b).max())
         cases += X.shape[0]
     # seeded sampling determinism on a fresh batch

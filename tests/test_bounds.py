@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from mrckit.bounds import (
-    atom_loss_table,
     bound_report,
     generalization_slack,
-    loss_table_for_rule,
     lower_bound,
     lower_bound_over_distributions,
+    model_loss_table,
     upper_bound,
     worst_case_risk,
 )
@@ -78,28 +77,21 @@ def test_upper_bound_equals_objective_value():
 def test_loss_table_zero_one_uniform():
     _, atoms = label_frequency_fixture()
     model = uniform_model(ZO, atoms, -0.5)
-    table = atom_loss_table(model, atoms)
+    table = model_loss_table(model, atoms)
     np.testing.assert_allclose(table, 0.5)
 
 
 def test_loss_table_log_uniform():
     atoms = ConstraintAtoms(patterns=np.ones((1, 1)), num_classes=3)
     model = uniform_model(LG, atoms, -math.log(3))
-    np.testing.assert_allclose(atom_loss_table(model, atoms), math.log(3))
+    np.testing.assert_allclose(model_loss_table(model, atoms), math.log(3))
 
 
 def test_loss_table_zero_one_degenerate_branch():
     # offset -1 zeroes every positive part, forcing the 1 - 1/K fallback
     _, atoms = label_frequency_fixture()
     model = uniform_model(ZO, atoms, -1.0)
-    np.testing.assert_allclose(atom_loss_table(model, atoms), 0.5)
-
-
-def test_loss_table_rejects_alpha():
-    _, atoms = label_frequency_fixture()
-    model = uniform_model(AlphaLoss(2.0), atoms, math.sqrt(2) - 2.0)
-    with pytest.raises(ValueError):
-        atom_loss_table(model, atoms)
+    np.testing.assert_allclose(model_loss_table(model, atoms), 0.5)
 
 
 def test_loss_tables_match_generic_rule_route():
@@ -108,9 +100,9 @@ def test_loss_tables_match_generic_rule_route():
     for loss in (ZO, LG):
         box, atoms = random_setup(rng, r=4)
         model = train_mrc(loss, box, atoms, SolverConfig(max_iters=1500))
-        closed = atom_loss_table(model, atoms)
+        closed = model_loss_table(model, atoms)
         rows = rule_probs(loss, atoms.scores(model.weights), model.offset)
-        generic = loss_table_for_rule(loss, rows)
+        generic = loss.loss_table(rows)
         np.testing.assert_allclose(closed, generic, atol=1e-10)
 
 
@@ -141,11 +133,7 @@ def test_sandwich_on_trained_models():
             model = train_mrc(loss, box, atoms, SolverConfig(max_iters=3000))
             up = upper_bound(model, box)
             lo = lower_bound(model, box, atoms)
-            if isinstance(loss, AlphaLoss):
-                rows = rule_probs(loss, atoms.scores(model.weights), model.offset)
-                table = loss_table_for_rule(loss, rows)
-            else:
-                table = atom_loss_table(model, atoms)
+            table = model_loss_table(model, atoms)
             mid = worst_case_risk(table, box, atoms)
             assert lo <= mid + 1e-8
             assert mid <= up + 1e-6  # worst case of the own rule at most the dual value
@@ -153,7 +141,7 @@ def test_sandwich_on_trained_models():
 
 def test_worst_case_uniform_rule():
     box, atoms = label_frequency_fixture()
-    table = loss_table_for_rule(ZO, np.full((1, 2), 0.5))
+    table = ZO.loss_table(np.full((1, 2), 0.5))
     assert worst_case_risk(table, box, atoms) == pytest.approx(0.5, abs=1e-9)
 
 
@@ -161,7 +149,7 @@ def test_worst_case_dominates_lower_bound():
     rng = np.random.default_rng(4)
     box, atoms = random_setup(rng, r=4)
     model = train_mrc(ZO, box, atoms, SolverConfig(max_iters=1500))
-    table = atom_loss_table(model, atoms)
+    table = model_loss_table(model, atoms)
     assert worst_case_risk(table, box, atoms) >= lower_bound(model, box, atoms) - 1e-8
 
 

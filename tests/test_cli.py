@@ -229,6 +229,46 @@ def test_experiment_rejects_bad_config(tmp_path):
     assert run(["experiment", "--config", str(cfg_path)]) == 2
 
 
+@pytest.mark.parametrize("policy", ["nan", "inf", "file"])
+def test_non_finite_widths_exit_2(demo_csv, tmp_path, policy):
+    train, _ = demo_csv
+    model_path = tmp_path / "m.json"
+    if policy == "file":
+        from mrckit.data_io import load_dataset
+        from mrckit.features import StumpSpec, fit_thresholds
+
+        dim = fit_thresholds(load_dataset(train), StumpSpec(20)).dim
+        widths_path = tmp_path / "w.txt"
+        widths_path.write_text("\n".join(["0.25"] * (dim - 1) + ["nan"]) + "\n")
+        policy = f"file:{widths_path}"
+    assert run(["train", "--data", train, "--loss", "log", "--lambda", policy,
+                "--max-iters", "50", "--out", str(model_path)]) == 2
+    assert not model_path.exists()
+
+
+def test_predict_rejects_nan_model_exits_2(demo_csv, tmp_path):
+    train, test = demo_csv
+    model_path = tmp_path / "m.json"
+    assert run(["train", "--data", train, "--loss", "zero-one", "--out", str(model_path)]) == 0
+    obj = json.loads(model_path.read_text())
+    obj["mu"][0] = float("nan")
+    model_path.write_text(json.dumps(obj))
+    assert run(["predict", "--model", str(model_path), "--data", test,
+                "--out", str(tmp_path / "p.csv")]) == 2
+
+
+def test_experiment_train_size_beyond_rows_exits_2(tmp_path):
+    # 6 rows, 3 classes: 7 training rows cannot be drawn, however they are split
+    rows = ["f1,label"] + [f"{i}.0,{i % 3 + 1}" for i in range(6)]
+    data_path = tmp_path / "six.csv"
+    data_path.write_text("\n".join(rows) + "\n")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "dataset": str(data_path), "train_sizes": [7], "repetitions": 1, "test_size": 1,
+    }))
+    assert run(["experiment", "--config", str(cfg_path)]) == 2
+
+
 def test_oracle_subcommand(tmp_path, capsys):
     # tiny dataset with 2 distinct instances so enumeration stays cheap
     rows = ["f1,label"] + ["0.0,1"] * 6 + ["1.0,2"] * 6 + ["0.0,2", "1.0,1"]

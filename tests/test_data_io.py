@@ -140,6 +140,22 @@ def test_load_model_rejects_bad_version(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("key, index", [("mu", 0), ("mu", 3), ("nu", None)])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_load_model_rejects_non_finite_parameters(tmp_path, key, index, value):
+    path = tmp_path / "m.json"
+    save_model(toy_model(), path, lambda_policy="0.25", n=10)
+    obj = json.loads(path.read_text())
+    if index is None:
+        obj[key] = "@"
+    else:
+        obj[key][index] = "@"
+    # json.dumps writes the non-finite constants Python's json reader accepts
+    path.write_text(json.dumps(obj).replace('"@"', value))
+    with pytest.raises(InputError):
+        load_model(path)
+
+
 def test_feature_map_roundtrip(tmp_path):
     fm = FeatureMap(num_classes=4, thresholds=((2, 1.5), (1, -0.25)))
     path = tmp_path / "fm.json"

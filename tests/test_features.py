@@ -132,6 +132,14 @@ def test_negative_widths_rejected():
         estimate_expectations(fm, data, np.array([0.1, -0.1]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, [0.1, np.nan]])
+def test_non_finite_widths_rejected(bad):
+    data = Dataset(instances=np.zeros((2, 1)), labels=[1, 2], num_classes=2)
+    fm = FeatureMap(num_classes=2, thresholds=())
+    with pytest.raises(ValueError):
+        estimate_expectations(fm, data, bad)
+
+
 def test_width_formula_m1():
     # d = [1], delta = 2/e^2 makes the radical exactly 1
     lam = widths_from_feature_range(np.array([1.0]), 2.0 / np.e**2)

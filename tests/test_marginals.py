@@ -8,8 +8,6 @@ from mrckit.core import Dataset, FeatureMap, LogLoss, ZeroOneLoss
 from mrckit.features import fit_thresholds, StumpSpec
 from mrckit.marginals import (
     adversarial01_objective,
-    instance_offset_log,
-    instance_offset_zero_one,
     logreg_objective,
     predict_fixed_marginal,
     train_adversarial01,
@@ -52,8 +50,9 @@ def logistic_erm(w, fm, data):
 def test_instance_offsets_examples():
     fm = FeatureMap(num_classes=3, thresholds=())
     # zero weights: min over subset sizes of (1 - k)/k = -2/3 and -log 3
-    assert instance_offset_zero_one(np.zeros(3), fm, [0.0]) == pytest.approx(-2.0 / 3.0)
-    assert instance_offset_log(np.zeros(3), fm, [0.0]) == pytest.approx(-math.log(3.0))
+    scores = fm.score_matrix([[0.0]], np.zeros(3))
+    assert ZeroOneLoss().offset(scores)[0] == pytest.approx(-2.0 / 3.0)
+    assert LogLoss().offset(scores)[0] == pytest.approx(-math.log(3.0))
 
 
 def test_instance_offsets_match_atom_offsets():
@@ -63,8 +62,8 @@ def test_instance_offsets_match_atom_offsets():
         w = rng.normal(size=fm.dim)
         x = rng.normal(size=1)
         scores = fm.score_matrix(x[None, :], w)
-        assert instance_offset_zero_one(w, fm, x) == max_offset_zero_one(scores)[0]
-        assert instance_offset_log(w, fm, x) == max_offset_log(scores)[0]
+        assert ZeroOneLoss().offset(scores)[0] == max_offset_zero_one(scores)[0]
+        assert LogLoss().offset(scores)[0] == max_offset_log(scores)[0]
 
 
 def test_adversarial_objective_at_zero():

@@ -12,16 +12,7 @@ from mrckit.core import (
     MrcModel,
     ZeroOneLoss,
 )
-from mrckit.predictors import (
-    alpha_probs,
-    log_probs,
-    predict_alpha,
-    predict_log,
-    predict_zero_one,
-    rule_probs,
-    sample_labels,
-    zero_one_probs,
-)
+from mrckit.predictors import predict_labels, predict_probs, rule_probs, sample_labels
 from mrckit.solver import SolverConfig, max_offset_alpha, train_mrc
 
 ZO = ZeroOneLoss()
@@ -40,25 +31,25 @@ def make_model(loss, weights, offset, fm):
 
 
 def test_zero_one_uniform_when_normalizer_vanishes():
-    probs = zero_one_probs(np.array([[-2.0, -3.0]]), 0.0)
+    probs = ZO.rule(np.array([[-2.0, -3.0]]), 0.0)
     np.testing.assert_allclose(probs, [[0.5, 0.5]])
 
 
 def test_zero_one_uniform_offset():
     # offset 1/K - 1 with zero scores leaves exactly uniform masses
-    probs = zero_one_probs(np.zeros((1, 4)), 0.25 - 1.0)
+    probs = ZO.rule(np.zeros((1, 4)), 0.25 - 1.0)
     np.testing.assert_allclose(probs, 0.25)
 
 
 def test_zero_one_positive_part_normalization():
-    probs = zero_one_probs(np.array([[0.1, -1.5]]), 0.0)
+    probs = ZO.rule(np.array([[0.1, -1.5]]), 0.0)
     np.testing.assert_allclose(probs, [[1.0, 0.0]])
 
 
 def test_log_probs_softmax_values():
-    np.testing.assert_allclose(log_probs(np.array([[0.0, 0.0]])), 0.5)
+    np.testing.assert_allclose(LG.rule(np.array([[0.0, 0.0]]), None), 0.5)
     np.testing.assert_allclose(
-        log_probs(np.array([[math.log(2.0), 0.0]])), [[2.0 / 3.0, 1.0 / 3.0]]
+        LG.rule(np.array([[math.log(2.0), 0.0]]), None), [[2.0 / 3.0, 1.0 / 3.0]]
     )
 
 
@@ -66,20 +57,20 @@ def test_log_probs_shift_invariance():
     rng = np.random.default_rng(0)
     for _ in range(100):
         s = rng.normal(size=(1, 3))
-        shifted = log_probs(s + rng.normal())
-        np.testing.assert_allclose(shifted, log_probs(s), atol=1e-12)
+        shifted = LG.rule(s + rng.normal(), None)
+        np.testing.assert_allclose(shifted, LG.rule(s, None), atol=1e-12)
 
 
 def test_alpha_probs_uniform_at_zero_weights():
     off = max_offset_alpha(np.zeros(2), 2.0)
-    probs = alpha_probs(np.zeros((1, 2)), off, 2.0)
+    probs = AlphaLoss(2.0).rule(np.zeros((1, 2)), off)
     np.testing.assert_allclose(probs, 0.5, atol=1e-9)
 
 
 def test_alpha_probs_distribute_slack_uniformly():
     # base masses 0.25 each leave slack 0.5 split as 0.25 per label
     # ((s + off)/beta + 1)^beta = 0.25 with beta = 2 needs s + off = -1
-    probs = alpha_probs(np.full((1, 2), -1.0), 0.0, 2.0)
+    probs = AlphaLoss(2.0).rule(np.full((1, 2), -1.0), 0.0)
     np.testing.assert_allclose(probs, [[0.5, 0.5]])
     base = ((-1.0) / 2.0 + 1.0) ** 2.0
     assert probs[0, 0] >= base
@@ -87,7 +78,7 @@ def test_alpha_probs_distribute_slack_uniformly():
 
 def test_alpha_probs_reject_infeasible_rows():
     with pytest.raises(RuntimeError):
-        alpha_probs(np.full((1, 2), 2.0), 0.0, 2.0)
+        AlphaLoss(2.0).rule(np.full((1, 2), 2.0), 0.0)
 
 
 def test_rows_are_distributions_for_all_losses():
@@ -160,24 +151,22 @@ def test_predict_wrappers_and_dispatch():
     fm = FeatureMap(num_classes=2, thresholds=((1, 0.5),))
     X = np.array([[0.0], [1.0]])
     m01 = make_model(ZO, np.zeros(4), -0.5, fm)
-    probs = predict_zero_one(m01, X)
+    probs = predict_probs(m01, X)
     np.testing.assert_allclose(probs, 0.5)
-    probs, sampled = predict_zero_one(m01, X, seed=11)
+    sampled = sample_labels(probs, seed=11)
     assert sampled.shape == (2,)
     mlog = make_model(LG, [0.3, 0.0, -0.2, 0.0], -0.7, fm)
-    lp, labels = predict_log(mlog, X)
+    labels = predict_labels(mlog, X)
     assert labels[0] == 1  # highest score wins
     off = max_offset_alpha(np.zeros(2), 2.0)
     ma = make_model(AlphaLoss(2.0), np.zeros(4), off, fm)
-    np.testing.assert_allclose(predict_alpha(ma, X), 0.5, atol=1e-9)
-    with pytest.raises(TypeError):
-        predict_log(m01, X)
+    np.testing.assert_allclose(predict_probs(ma, X), 0.5, atol=1e-9)
 
 
 def test_argmax_tie_breaks_to_smallest_label():
     fm = FeatureMap(num_classes=3, thresholds=())
     mlog = make_model(LG, np.zeros(3), -math.log(3.0), fm)
-    _, labels = predict_log(mlog, np.zeros((4, 1)))
+    labels = predict_labels(mlog, np.zeros((4, 1)))
     assert labels.tolist() == [1, 1, 1, 1]
 
 
