@@ -44,7 +44,7 @@ print("2) fixed-marginal log objective == logistic regression risk")
 worst = 0.0
 for _ in range(200):
     w = rng.normal(size=fm.dim)
-    mine, _ = logreg_objective(w, fm, data, 0.0)
+    mine, _ = logreg_objective(w, constraint_atoms(fm, data), 0.0)
     s = fm.score_matrix(data.instances, w)
     nll = np.mean(
         np.log(np.exp(s).sum(axis=1)) - s[np.arange(data.n), data.labels - 1]
@@ -56,7 +56,7 @@ print("3) fixed-marginal 0-1 objective == minimax-hinge risk (subset enumeration
 worst = 0.0
 for _ in range(50):
     w = rng.normal(size=fm.dim)
-    mine, _ = adversarial01_objective(w, fm, data, 0.0)
+    mine, _ = adversarial01_objective(w, constraint_atoms(fm, data), 0.0)
     s = fm.score_matrix(data.instances, w)
     total = 0.0
     for i in range(data.n):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BoundReport, ConstraintAtoms, ExpectationBox, MrcModel
+from .core import BoundReport, ConstraintAtoms, ExpectationBox, MrcModel, label_blocks
 from .simplex import OPTIMAL, solve_lp
 
 __all__ = [
@@ -28,30 +28,21 @@ __all__ = [
 def upper_bound(model: MrcModel, box: ExpectationBox) -> float:
     """Achieved dual objective: half_width.|w| - midpoint.w - offset."""
     w = model.weights
-    return float(box.half_width @ np.abs(w) - box.midpoint @ w - model.offset)
+    offset = model.dual_offset("upper_bound")
+    return float(box.half_width @ np.abs(w) - box.midpoint @ w - offset)
 
 
 def model_loss_table(model: MrcModel, atoms: ConstraintAtoms) -> np.ndarray:
     """Per-pattern, per-label loss of the model's own rule."""
-    return model.loss.rule_loss(atoms.scores(model.weights), model.offset)
+    offset = model.dual_offset("the bound LPs")
+    return model.loss.rule_loss(atoms.scores(model.weights), offset)
 
 
 def _score_constraint_rows(atoms: ConstraintAtoms):
     """Rows of f_j(y) over split weights plus the offset pair, one per (j, y)."""
-    r, k = atoms.count, atoms.num_classes
-    m = atoms.dim
-    blk = atoms.block_size
-    n_rows = r * k
-    A = np.zeros((n_rows, 2 * m + 2))
-    for j in range(r):
-        for y in range(k):
-            i = j * k + y
-            s = y * blk
-            A[i, s : s + blk] = atoms.patterns[j]
-            A[i, m + s : m + s + blk] = -atoms.patterns[j]
-            A[i, 2 * m] = 1.0
-            A[i, 2 * m + 1] = -1.0
-    return A
+    B = label_blocks(atoms.patterns, atoms.num_classes)
+    ones = np.ones((B.shape[0], 1))
+    return np.hstack([B, -B, ones, -ones])
 
 
 def lower_bound(
@@ -64,7 +55,6 @@ def lower_bound(
     offset never exceeds the smallest cap).
     """
     eps = model_loss_table(model, atoms)
-    m = atoms.dim
     A = _score_constraint_rows(atoms)
     b = eps.ravel()
     c = np.concatenate(
@@ -74,7 +64,7 @@ def lower_bound(
             [-1.0, 1.0],
         ]
     )
-    res = solve_lp(c, A, b, ["<="] * A.shape[0], [True] * (2 * m + 2))
+    res = solve_lp(c, A, b, ["<="] * A.shape[0], [True] * A.shape[1])
     if res.status != OPTIMAL:
         raise RuntimeError(f"lower-bound LP ended with status {res.status}")
     return float(-res.value)
@@ -89,27 +79,15 @@ def lower_bound_over_distributions(
     agree to solver precision.
     """
     eps = model_loss_table(model, atoms)
-    return _distribution_lp(eps, box, atoms, maximize=False)
-
-
-def _distribution_lp(eps, box, atoms, maximize):
-    r, k = atoms.count, atoms.num_classes
     m = atoms.dim
-    blk = atoms.block_size
-    E = np.zeros((m, r * k))
-    for j in range(r):
-        for y in range(k):
-            E[y * blk : (y + 1) * blk, j * k + y] = atoms.patterns[j]
-    A = np.vstack([E, E, np.ones((1, r * k))])
+    E = label_blocks(atoms.patterns, atoms.num_classes).T
+    A = np.vstack([E, E, np.ones((1, E.shape[1]))])
     b = np.concatenate([box.upper, box.lower, [1.0]])
     senses = ["<="] * m + [">="] * m + ["="]
-    c = eps.ravel().copy()
-    if maximize:
-        c = -c
-    res = solve_lp(c, A, b, senses, [True] * (r * k))
+    res = solve_lp(eps.ravel(), A, b, senses, [True] * E.shape[1])
     if res.status != OPTIMAL:
         raise RuntimeError(f"distribution-form LP ended with status {res.status}")
-    return float(-res.value if maximize else res.value)
+    return float(res.value)
 
 
 def worst_case_risk(
@@ -127,11 +105,10 @@ def worst_case_risk(
         raise ValueError(
             f"loss table has shape {eps.shape}, need ({atoms.count}, {atoms.num_classes})"
         )
-    m = atoms.dim
     A = _score_constraint_rows(atoms)
     b = -eps.ravel()
     c = np.concatenate([-box.lower, box.upper, [-1.0, 1.0]])
-    res = solve_lp(c, A, b, ["<="] * A.shape[0], [True] * (2 * m + 2))
+    res = solve_lp(c, A, b, ["<="] * A.shape[0], [True] * A.shape[1])
     if res.status != OPTIMAL:
         raise RuntimeError(f"worst-case LP ended with status {res.status}")
     return float(res.value)

@@ -220,21 +220,28 @@ def _experiment_config(path):
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc
     required = {"dataset": str, "train_sizes": list, "repetitions": int, "test_size": int}
-    for key, kind in required.items():
+    for key in required:
         if key not in cfg:
             raise InputError(f"config is missing {key!r}")
-        if not isinstance(cfg[key], kind):
-            raise InputError(f"config key {key!r} must be {kind.__name__}")
-    if not all(isinstance(n, int) and n > 0 for n in cfg["train_sizes"]):
-        raise InputError("train_sizes must be positive integers")
-    if cfg["repetitions"] < 1 or cfg["test_size"] < 1:
-        raise InputError("repetitions and test_size must be positive")
     cfg.setdefault("lambda", "0.25")
     cfg.setdefault("seed", 0)
     cfg.setdefault("max_leaves", 20)
     cfg.setdefault("methods", list(METHODS))
     cfg.setdefault("max_iters", 4000)
     cfg.setdefault("step_c", 0.3)
+    kinds = {
+        **required, "lambda": str, "seed": int, "max_leaves": int, "max_iters": int,
+        "step_c": (int, float), "methods": list,
+    }
+    for key, kind in kinds.items():
+        # JSON true/false load as bool, a subclass of int
+        if isinstance(cfg[key], bool) or not isinstance(cfg[key], kind):
+            name = "number" if kind == (int, float) else kind.__name__
+            raise InputError(f"config key {key!r} must be {name}")
+    if not all(type(n) is int and n > 0 for n in cfg["train_sizes"]):
+        raise InputError("train_sizes must be positive integers")
+    if cfg["repetitions"] < 1 or cfg["test_size"] < 1:
+        raise InputError("repetitions and test_size must be positive")
     bad = [m for m in cfg["methods"] if m not in METHODS]
     if bad:
         raise InputError(f"unknown methods {bad}; choose from {list(METHODS)}")

@@ -29,6 +29,8 @@ __all__ = [
     "FeatureMap",
     "ExpectationBox",
     "ConstraintAtoms",
+    "unique_rows",
+    "label_blocks",
     "MrcModel",
     "BoundReport",
 ]
@@ -444,19 +446,8 @@ class FeatureMap:
         """Feature vector for a single (instance, label) pair."""
         if not 1 <= y <= self.num_classes:
             raise ValueError(f"label {y} outside 1..{self.num_classes}")
-        block = self.indicator_matrix(np.atleast_2d(x))[0]
-        out = np.zeros(self.dim)
-        s = (y - 1) * self.block_size
-        out[s : s + self.block_size] = block
-        return out
-
-    def instance_matrix(self, x) -> np.ndarray:
-        """All label rows for one instance: shape (K, m) with row y-1 = vector(x, y)."""
-        block = self.indicator_matrix(np.atleast_2d(x))[0]
-        out = np.zeros((self.num_classes, self.dim))
-        for y in range(self.num_classes):
-            out[y, y * self.block_size : (y + 1) * self.block_size] = block
-        return out
+        block = self.indicator_matrix(np.atleast_2d(x))[:1]
+        return label_blocks(block, self.num_classes)[y - 1]
 
     def score_matrix(self, X, weights) -> np.ndarray:
         """Linear scores vector(x, y) . weights for all rows and labels, shape (n, K)."""
@@ -529,17 +520,57 @@ class ExpectationBox:
         return _frozen((self.upper + self.lower) / 2.0)
 
 
+def unique_rows(ind):
+    """Distinct rows of a 0/1 matrix and the index of each row among them.
+
+    The same rows, order and inverse as ``np.unique(ind, axis=0,
+    return_inverse=True)``, found by sorting packed-bit keys: packing puts
+    column 0 in the top bit, so comparing the big-endian key words compares
+    rows lexicographically.
+    """
+    ind = np.atleast_2d(ind)
+    bits = np.packbits(ind != 0, axis=1)
+    words = np.pad(bits, ((0, 0), (0, -bits.shape[1] % 8))).view(">u8")
+    order = np.lexsort(words.T[::-1])
+    keys = words[order]
+    first = np.ones(order.shape[0], dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
+    return ind[order[first]], inverse
+
+
+def label_blocks(patterns, num_classes: int) -> np.ndarray:
+    """Each pattern written into each label block, zeros elsewhere.
+
+    Row j*K + y holds pattern j in the block of label y+1, so the result has
+    shape (r*K, K*b) for r patterns of length b: the feature vectors of every
+    (pattern, label) pair, pattern-major.
+    """
+    P = np.atleast_2d(patterns)
+    r, b = P.shape
+    out = np.zeros((r, num_classes, num_classes, b))
+    labels = np.arange(num_classes)
+    out[:, labels, labels, :] = P[:, None, :]
+    return out.reshape(r * num_classes, num_classes * b)
+
+
 @dataclass(frozen=True)
 class ConstraintAtoms:
-    """Deduplicated indicator patterns spanning the feature map's observed range.
+    """The training data's sufficient statistics: distinct indicator patterns
+    with the label counts of the rows at each.
 
     Pattern j induces one m-vector per label: the pattern written into that
     label's block.  ``scores(weights)`` is the (r, K) matrix of those
-    vectors dotted with a weight vector.
+    vectors dotted with a weight vector.  ``counts`` is absent only for
+    tables built from patterns alone, which serve the box-constrained dual
+    and the bounds but not the empirical mean or the fixed-marginal
+    objectives.
     """
 
     patterns: np.ndarray  # (r, k+1) 0/1 entries, first column all ones
     num_classes: int
+    counts: np.ndarray | None = None  # (r, K) training rows per pattern and label
 
     def __post_init__(self):
         P = np.atleast_2d(np.asarray(self.patterns, dtype=np.float64))
@@ -552,6 +583,22 @@ class ConstraintAtoms:
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
         object.__setattr__(self, "patterns", _frozen(P))
+        if self.counts is not None:
+            C = _frozen(self.counts, dtype=np.int64)
+            if C.shape != (P.shape[0], self.num_classes) or np.any(C < 0) or C.sum() < 1:
+                raise ValueError("counts must be nonnegative (r, K) with a positive total")
+            object.__setattr__(self, "counts", C)
+
+    @classmethod
+    def from_indicators(cls, ind, num_classes: int, labels=None) -> "ConstraintAtoms":
+        """The table of indicator rows, with label counts when labels (1..K) are given."""
+        patterns, inverse = unique_rows(ind)
+        counts = None
+        if labels is not None:
+            r = patterns.shape[0]
+            cells = inverse * num_classes + np.asarray(labels) - 1
+            counts = np.bincount(cells, minlength=r * num_classes).reshape(r, num_classes)
+        return cls(patterns=patterns, num_classes=num_classes, counts=counts)
 
     @property
     def count(self) -> int:
@@ -565,19 +612,19 @@ class ConstraintAtoms:
     def dim(self) -> int:
         return self.num_classes * self.block_size
 
+    @property
+    def n(self) -> int:
+        """Number of training rows the table summarizes."""
+        if self.counts is None:
+            raise ValueError("this table holds patterns only, no label counts")
+        return int(self.counts.sum())
+
     def scores(self, weights) -> np.ndarray:
         """(r, K) matrix of per-pattern, per-label linear scores."""
         W = np.asarray(weights, dtype=np.float64).reshape(
             self.num_classes, self.block_size
         )
         return self.patterns @ W.T
-
-    def group(self, j: int) -> np.ndarray:
-        """Dense (K, m) matrix of the j-th pattern's per-label vectors."""
-        out = np.zeros((self.num_classes, self.dim))
-        for y in range(self.num_classes):
-            out[y, y * self.block_size : (y + 1) * self.block_size] = self.patterns[j]
-        return out
 
 
 @dataclass(frozen=True)
@@ -626,6 +673,15 @@ class MrcModel:
     @property
     def block_size(self) -> int:
         return self.weights.shape[0] // self.num_classes
+
+    def dual_offset(self, use: str) -> float:
+        """The scalar offset, which only expectation-constrained models carry;
+        ``use`` names what needed it in the error for any other variant."""
+        if self.variant != "expectation":
+            raise ValueError(
+                f"{use} needs an expectation-constrained model, not variant {self.variant!r}"
+            )
+        return self.offset
 
     def score_matrix(self, X) -> np.ndarray:
         if self.feature_map is None:

@@ -123,12 +123,9 @@ def fit_thresholds(data: Dataset, spec: StumpSpec = StumpSpec()) -> FeatureMap:
     return FeatureMap(num_classes=data.num_classes, thresholds=tuple(pairs))
 
 
-def feature_mean(fm: FeatureMap, data: Dataset) -> np.ndarray:
+def feature_mean(atoms: ConstraintAtoms) -> np.ndarray:
     """Empirical mean of the feature vectors at the observed (x, y) pairs."""
-    ind = fm.indicator_matrix(data.instances)
-    mean = np.zeros((fm.num_classes, fm.block_size))
-    np.add.at(mean, data.labels - 1, ind)
-    return mean.ravel() / data.n
+    return (atoms.counts.T @ atoms.patterns).ravel() / atoms.n
 
 
 def widths_vector(widths, dim: int) -> np.ndarray:
@@ -146,7 +143,10 @@ def widths_vector(widths, dim: int) -> np.ndarray:
 def estimate_expectations(fm: FeatureMap, data: Dataset, widths) -> ExpectationBox:
     """Empirical expectations plus the +-widths/sqrt(n) interval box."""
     widths = widths_vector(widths, fm.dim)
-    return ExpectationBox.from_mean(feature_mean(fm, data), widths, data.n)
+    atoms = ConstraintAtoms.from_indicators(
+        fm.indicator_matrix(data.instances), fm.num_classes, data.labels
+    )
+    return ExpectationBox.from_mean(feature_mean(atoms), widths, data.n)
 
 
 def widths_from_feature_range(spread, delta: float) -> np.ndarray:
@@ -170,11 +170,11 @@ def hoeffding_widths(fm: FeatureMap, delta: float) -> np.ndarray:
 
 
 def constraint_atoms(fm: FeatureMap, data: Dataset) -> ConstraintAtoms:
-    """Distinct indicator patterns over the training instances.
+    """The training data's table: distinct indicator patterns with label counts.
 
     Dedup is exact bit equality, safe because entries are exactly 0/1; the
-    count never exceeds n.
+    pattern count never exceeds n.
     """
-    ind = fm.indicator_matrix(data.instances)
-    patterns = np.unique(ind, axis=0)
-    return ConstraintAtoms(patterns=patterns, num_classes=fm.num_classes)
+    return ConstraintAtoms.from_indicators(
+        fm.indicator_matrix(data.instances), fm.num_classes, data.labels
+    )

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import LOG, ZERO_ONE, Dataset, FeatureMap, MrcModel
-from .features import feature_mean, widths_vector
+from .core import LOG, ZERO_ONE, ConstraintAtoms, Dataset, FeatureMap, Loss, MrcModel
+from .features import constraint_atoms, feature_mean, widths_vector
 from .solver import SolverConfig, subgradient_minimize
 
 __all__ = [
+    "fixed_marginal_objective",
     "adversarial01_objective",
     "logreg_objective",
     "train_adversarial01",
@@ -28,55 +29,41 @@ __all__ = [
 ]
 
 
-def _grouped(fm: FeatureMap, data: Dataset):
-    """Distinct indicator patterns with their empirical frequencies."""
-    ind = fm.indicator_matrix(data.instances)
-    patterns, inverse = np.unique(ind, axis=0, return_inverse=True)
-    freq = np.bincount(inverse, minlength=patterns.shape[0]) / data.n
-    return patterns, freq
+def fixed_marginal_objective(loss: Loss, weights, atoms: ConstraintAtoms, widths=0.0):
+    """Value and subgradient of the fixed-marginal objective of ``loss``.
 
-
-def _regularized(parts_value, parts_grad, widths, n, w):
-    reg = widths / np.sqrt(n)
-    return parts_value + reg @ np.abs(w), parts_grad + reg * np.sign(w)
-
-
-def adversarial01_objective(weights, fm: FeatureMap, data: Dataset, widths=0.0):
-    """Value and subgradient of the fixed-marginal 0-1 objective at ``weights``."""
+    -mean.w - sum_j freq_j offset_j(w) + widths.|w|/sqrt(n) over the training
+    table, with each pattern's offset and label weights from the loss.
+    """
     w = np.asarray(weights, dtype=np.float64)
-    mean = feature_mean(fm, data)
-    patterns, freq = _grouped(fm, data)
-    scores = patterns @ w.reshape(fm.num_classes, fm.block_size).T
-    offs, lab_w = ZERO_ONE.active_label_weights(scores)
+    offs, label_weights = loss.active_label_weights(atoms.scores(w))
+    mean = feature_mean(atoms)
+    freq = atoms.counts.sum(axis=1) / atoms.n
     value = -mean @ w - freq @ offs
-    grad_blocks = (lab_w * freq[:, None]).T @ patterns
-    grad = -mean + grad_blocks.ravel()
-    return _regularized(value, grad, widths_vector(widths, fm.dim), data.n, w)
+    grad = -mean + ((label_weights * freq[:, None]).T @ atoms.patterns).ravel()
+    reg = widths_vector(widths, atoms.dim) / np.sqrt(atoms.n)
+    return value + reg @ np.abs(w), grad + reg * np.sign(w)
 
 
-def logreg_objective(weights, fm: FeatureMap, data: Dataset, widths=0.0):
+def adversarial01_objective(weights, atoms: ConstraintAtoms, widths=0.0):
+    """Value and subgradient of the fixed-marginal 0-1 objective at ``weights``."""
+    return fixed_marginal_objective(ZERO_ONE, weights, atoms, widths)
+
+
+def logreg_objective(weights, atoms: ConstraintAtoms, widths=0.0):
     """Value and gradient of the fixed-marginal log objective at ``weights``.
 
     Identical to the mean negative log-likelihood of the softmax rule plus
     the L1 term.
     """
-    w = np.asarray(weights, dtype=np.float64)
-    scores = fm.score_matrix(data.instances, w)
-    vmax = scores.max(axis=1, keepdims=True)
-    e = np.exp(scores - vmax)
-    lse = (vmax[:, 0] + np.log(e.sum(axis=1)))
-    picked = scores[np.arange(data.n), data.labels - 1]
-    value = float(np.mean(lse - picked))
-    probs = e / e.sum(axis=1, keepdims=True)
-    ind = fm.indicator_matrix(data.instances)
-    grad_blocks = probs.T @ ind / data.n
-    mean = feature_mean(fm, data)
-    grad = grad_blocks.ravel() - mean
-    return _regularized(value, grad, widths_vector(widths, fm.dim), data.n, w)
+    return fixed_marginal_objective(LOG, weights, atoms, widths)
 
 
-def _train_fixed_marginal(loss, objective, fm, data, cfg):
-    best_w, best_value, converged = subgradient_minimize(objective, fm.dim, cfg)
+def _train_fixed_marginal(loss, objective, fm, data, widths, cfg):
+    atoms = constraint_atoms(fm, data)
+    best_w, best_value, converged = subgradient_minimize(
+        lambda w: objective(w, atoms, widths), fm.dim, cfg
+    )
     return MrcModel(
         loss=loss,
         weights=best_w,
@@ -93,26 +80,14 @@ def train_adversarial01(
     data: Dataset, fm: FeatureMap, widths=0.0, cfg: SolverConfig = SolverConfig()
 ) -> MrcModel:
     """Adversarial 0-1 classification (minimax-hinge empirical risk + L1)."""
-    return _train_fixed_marginal(
-        ZERO_ONE,
-        lambda w: adversarial01_objective(w, fm, data, widths),
-        fm,
-        data,
-        cfg,
-    )
+    return _train_fixed_marginal(ZERO_ONE, adversarial01_objective, fm, data, widths, cfg)
 
 
 def train_logreg(
     data: Dataset, fm: FeatureMap, widths=0.0, cfg: SolverConfig = SolverConfig()
 ) -> MrcModel:
     """L1-regularized multinomial logistic regression."""
-    return _train_fixed_marginal(
-        LOG,
-        lambda w: logreg_objective(w, fm, data, widths),
-        fm,
-        data,
-        cfg,
-    )
+    return _train_fixed_marginal(LOG, logreg_objective, fm, data, widths, cfg)
 
 
 def predict_fixed_marginal(model: MrcModel, X) -> np.ndarray:

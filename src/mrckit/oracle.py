@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 
-from .core import ConstraintAtoms, ExpectationBox, FeatureMap, Loss
+from .core import ConstraintAtoms, ExpectationBox, FeatureMap, Loss, label_blocks
 from .entropies import simplex_grid
 
 __all__ = [
@@ -52,8 +52,7 @@ def cell_features(fm: FeatureMap, instances) -> np.ndarray:
     Cell order is instance-major: (x_0, y=1), (x_0, y=2), ..., (x_1, y=1), ...
     """
     X = np.atleast_2d(np.asarray(instances, dtype=np.float64))
-    rows = [fm.instance_matrix(x) for x in X]
-    return np.vstack(rows)
+    return label_blocks(fm.indicator_matrix(X), fm.num_classes)
 
 
 def _feasible_mask(P, cell_phi, box: ExpectationBox, slack, marginal, nx, K, mslack):
@@ -163,4 +162,4 @@ def exhaustive_minimax(
 def atoms_from_instances(fm: FeatureMap, instances) -> ConstraintAtoms:
     """Constraint patterns of an explicit instance set (no dataset needed)."""
     ind = fm.indicator_matrix(np.atleast_2d(np.asarray(instances, dtype=np.float64)))
-    return ConstraintAtoms(patterns=np.unique(ind, axis=0), num_classes=fm.num_classes)
+    return ConstraintAtoms.from_indicators(ind, fm.num_classes)

@@ -31,6 +31,7 @@ from .core import (
     MrcModel,
     ZeroOneLoss,
     beta_of_alpha,
+    label_blocks,
 )
 from .simplex import OPTIMAL, solve_lp
 
@@ -167,9 +168,6 @@ class ReducedObjective:
     def offsets(self, weights) -> np.ndarray:
         return self.loss.offset(self.atoms.scores(weights), self.bisection_tol)
 
-    def best_offset(self, weights) -> float:
-        return float(self.offsets(weights).min())
-
     def value(self, weights) -> float:
         w = np.asarray(weights, dtype=np.float64)
         return float(
@@ -192,6 +190,21 @@ class ReducedObjective:
         )
         grad = self.box.half_width * np.sign(w) - self.box.midpoint + grad_offset
         return value, grad
+
+    def model(self, weights, feature_map=None, converged=True) -> MrcModel:
+        """The model at ``weights``, with its best offset and objective value."""
+        w = np.asarray(weights, dtype=np.float64)
+        offset = float(self.offsets(w).min())
+        value = float(self.box.half_width @ np.abs(w) - self.box.midpoint @ w - offset)
+        return MrcModel(
+            loss=self.loss,
+            weights=w,
+            offset=offset,
+            objective_value=value,
+            num_classes=self.atoms.num_classes,
+            feature_map=feature_map,
+            converged=bool(converged),
+        )
 
 
 def subgradient_minimize(value_and_grad, dim: int, cfg: SolverConfig):
@@ -234,19 +247,7 @@ def train_mrc(
     best_w, _, converged = subgradient_minimize(
         objective.value_and_subgradient, box.dim, cfg
     )
-    offset = objective.best_offset(best_w)
-    value = float(
-        box.half_width @ np.abs(best_w) - box.midpoint @ best_w - offset
-    )
-    return MrcModel(
-        loss=loss,
-        weights=best_w,
-        offset=offset,
-        objective_value=value,
-        num_classes=atoms.num_classes,
-        feature_map=feature_map,
-        converged=bool(converged),
-    )
+    return objective.model(best_w, feature_map, converged)
 
 
 def train_zero_one_exact(
@@ -270,18 +271,11 @@ def train_zero_one_exact(
     masks = np.array(
         [[(s >> y) & 1 for y in range(K)] for s in range(1, 2**K)], dtype=np.float64
     )
-    sizes = masks.sum(axis=1)
-
-    rows = []
-    rhs = []
-    for j in range(r):
-        G = atoms.group(j)  # (K, m)
-        AwC = masks @ G  # (S, m)
-        block = np.hstack([AwC, -AwC, sizes[:, None], -sizes[:, None]])
-        rows.append(block)
-        rhs.append(1.0 - sizes)
-    A = np.vstack(rows)
-    b = np.concatenate(rhs)
+    sizes = np.tile(masks.sum(axis=1), r)[:, None]
+    # row (j, S): the sum over labels in S of pattern j's label-block vectors
+    AwC = (masks @ label_blocks(atoms.patterns, K).reshape(r, K, m)).reshape(-1, m)
+    A = np.hstack([AwC, -AwC, sizes, -sizes])
+    b = 1.0 - sizes[:, 0]
     c = np.concatenate(
         [
             box.half_width - box.midpoint,
@@ -300,20 +294,10 @@ def train_zero_one_exact(
             "supported on the constraint patterns"
         )
     w = res.x[:m] - res.x[m : 2 * m]
-    objective = ReducedObjective(ZeroOneLoss(), box, atoms)
-    offset = objective.best_offset(w)
-    value = float(box.half_width @ np.abs(w) - box.midpoint @ w - offset)
-    return MrcModel(
-        loss=ZeroOneLoss(),
-        weights=w,
-        offset=offset,
-        objective_value=value,
-        num_classes=atoms.num_classes,
-        feature_map=feature_map,
-        converged=True,
-    )
+    return ReducedObjective(ZeroOneLoss(), box, atoms).model(w, feature_map)
 
 
 def dual_feasibility_residual(model: MrcModel, atoms: ConstraintAtoms) -> float:
     """Worst violation of the dual constraint over all patterns (<= 0 is feasible)."""
-    return model.loss.residual(atoms.scores(model.weights), model.offset)
+    offset = model.dual_offset("dual_feasibility_residual")
+    return model.loss.residual(atoms.scores(model.weights), offset)

@@ -187,7 +187,7 @@ def test_criterion_4_fixed_marginal_correspondences():
     fm = fit_thresholds(data, StumpSpec(3))
     for _ in range(1000):
         w = rng.normal(size=fm.dim) * 2.0
-        mine, _ = logreg_objective(w, fm, data, 0.0)
+        mine, _ = logreg_objective(w, constraint_atoms(fm, data), 0.0)
         worst_log = max(worst_log, abs(mine - _logistic_erm(w, fm, data)))
 
     worst_adv = 0.0
@@ -200,7 +200,7 @@ def test_criterion_4_fixed_marginal_correspondences():
         fm_k = fit_thresholds(data_k, StumpSpec(3))
         for _ in range(60):
             w = rng.normal(size=fm_k.dim) * 2.0
-            mine, _ = adversarial01_objective(w, fm_k, data_k, 0.0)
+            mine, _ = adversarial01_objective(w, constraint_atoms(fm_k, data_k), 0.0)
             worst_adv = max(worst_adv, abs(mine - _minimax_hinge_erm(w, fm_k, data_k)))
     ok = worst_log <= 1e-12 and worst_adv <= 1e-12
     _report(

@@ -1,0 +1,121 @@
+"""The atom table: dedup, label counts, label-block rows, and training on atoms."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from mrckit.core import ConstraintAtoms, Dataset, FeatureMap, label_blocks, unique_rows
+from mrckit.datasets import two_class_demo_joint
+from mrckit.features import StumpSpec, constraint_atoms, feature_mean, fit_thresholds
+from mrckit.marginals import (
+    adversarial01_objective,
+    logreg_objective,
+    train_adversarial01,
+    train_logreg,
+)
+from mrckit.solver import SolverConfig
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.integers(1, 60),
+    cols=st.integers(1, 150),
+    pool=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rows=1, cols=9, pool=1, seed=0)  # a single row
+@example(rows=30, cols=70, pool=1, seed=1)  # every row the same, keys of 9 bytes
+def test_unique_rows_matches_numpy(rows, cols, pool, seed):
+    rng = np.random.default_rng(seed)
+    distinct = (rng.random((pool, cols)) < rng.random()).astype(np.float64)
+    ind = distinct[rng.integers(0, pool, rows)]
+    want, want_inverse = np.unique(ind, axis=0, return_inverse=True)
+    got, inverse = unique_rows(ind)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert np.array_equal(inverse, want_inverse.ravel())
+
+
+def _row_mean(fm, data):
+    """Row-by-row empirical feature mean, the reference for the table's."""
+    mean = np.zeros((fm.num_classes, fm.block_size))
+    np.add.at(mean, data.labels - 1, fm.indicator_matrix(data.instances))
+    return mean.ravel() / data.n
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 80),
+    k=st.integers(2, 4),
+    num_thresholds=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_table_statistics_match_rows(n, k, num_thresholds, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 5, size=(n, 2)).astype(np.float64)
+    data = Dataset(instances=X, labels=rng.integers(1, k + 1, n), num_classes=k)
+    thresholds = tuple((int(d), float(t)) for d, t in zip(
+        rng.integers(1, 3, num_thresholds), rng.uniform(-0.5, 4.5, num_thresholds)
+    ))
+    fm = FeatureMap(num_classes=k, thresholds=thresholds)
+    atoms = constraint_atoms(fm, data)
+    assert atoms.counts.shape == (atoms.count, k)
+    assert atoms.counts.sum() == atoms.n == n
+    assert np.array_equal(feature_mean(atoms), _row_mean(fm, data))
+
+    doubled = constraint_atoms(
+        fm, Dataset(instances=np.vstack([X, X]), labels=np.tile(data.labels, 2), num_classes=k)
+    )
+    assert np.array_equal(doubled.patterns, atoms.patterns)
+    assert np.array_equal(feature_mean(doubled), feature_mean(atoms))
+    assert np.array_equal(doubled.counts, 2 * atoms.counts)
+    freq = atoms.counts.sum(axis=1) / atoms.n
+    assert np.array_equal(doubled.counts.sum(axis=1) / doubled.n, freq)
+    w = rng.normal(size=fm.dim)
+    for objective in (adversarial01_objective, logreg_objective):
+        value, grad = objective(w, atoms, 0.0)
+        value2, grad2 = objective(w, doubled, 0.0)
+        assert value == value2
+        assert np.array_equal(grad, grad2)
+
+
+def test_label_blocks_match_loop():
+    rng = np.random.default_rng(3)
+    patterns = (rng.random((5, 4)) < 0.5).astype(np.float64)
+    for k in (2, 3):
+        want = np.zeros((5 * k, 4 * k))
+        for j in range(5):
+            for y in range(k):
+                want[j * k + y, y * 4 : (y + 1) * 4] = patterns[j]
+        assert np.array_equal(label_blocks(patterns, k), want)
+
+
+def test_table_rejects_bad_counts():
+    patterns = np.array([[1.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(ValueError):
+        ConstraintAtoms(patterns=patterns, num_classes=2, counts=np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        ConstraintAtoms(patterns=patterns, num_classes=2, counts=[[1, -1], [0, 0]])
+    with pytest.raises(ValueError):
+        ConstraintAtoms(patterns=patterns, num_classes=2).n
+
+
+@pytest.mark.parametrize("trainer", [train_logreg, train_adversarial01])
+def test_fixed_marginal_training_reads_rows_once(monkeypatch, trainer):
+    # the rows are read to build the table; iterations run on atoms only
+    data = two_class_demo_joint().sample(200, seed=0)
+    fm = fit_thresholds(data, StumpSpec(4))
+    calls = []
+    original = FeatureMap.indicator_matrix
+
+    def counting(self, X):
+        calls.append(1)
+        return original(self, X)
+
+    monkeypatch.setattr(FeatureMap, "indicator_matrix", counting)
+    seen = []
+    for iters in (5, 50):
+        calls.clear()
+        trainer(data, fm, 0.25, SolverConfig(max_iters=iters))
+        seen.append(len(calls))
+    assert seen[0] == seen[1]

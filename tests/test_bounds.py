@@ -217,3 +217,23 @@ def test_sandwich_coverage_on_known_distribution():
         risk = joint.exact_risk(ZO, predict_probs(model, joint.instances))
         hits += report.lower <= risk <= report.upper
     assert hits >= 45
+
+
+def test_bounds_refuse_fixed_marginal_models():
+    from mrckit.datasets import two_class_demo_joint
+    from mrckit.features import StumpSpec, constraint_atoms, estimate_expectations, fit_thresholds
+    from mrckit.marginals import train_adversarial01
+    from mrckit.solver import dual_feasibility_residual
+
+    data = two_class_demo_joint().sample(100, seed=0)
+    fm = fit_thresholds(data, StumpSpec(4))
+    model = train_adversarial01(data, fm, 0.25, SolverConfig(max_iters=20))
+    box = estimate_expectations(fm, data, 0.25)
+    atoms = constraint_atoms(fm, data)
+    for call in (
+        lambda: upper_bound(model, box),
+        lambda: lower_bound(model, box, atoms),
+        lambda: dual_feasibility_residual(model, atoms),
+    ):
+        with pytest.raises(ValueError, match="instance_marginal"):
+            call()

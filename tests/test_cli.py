@@ -229,6 +229,37 @@ def test_experiment_rejects_bad_config(tmp_path):
     assert run(["experiment", "--config", str(cfg_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("lambda", 0.25), ("max_leaves", "20"), ("step_c", "x"), ("max_iters", 2.5), ("seed", True),
+     ("methods", 5), ("train_sizes", [True])],
+)
+def test_experiment_rejects_mistyped_config(demo_csv, tmp_path, capsys, key, value):
+    train, _ = demo_csv
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "dataset": train, "train_sizes": [60], "repetitions": 1, "test_size": 50, key: value,
+    }))
+    assert run(["experiment", "--config", str(cfg_path)]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_bounds_on_fixed_marginal_model_exits_2(demo_csv, tmp_path, capsys):
+    from mrckit.data_io import load_dataset, save_model
+    from mrckit.features import StumpSpec, fit_thresholds
+    from mrckit.marginals import train_logreg
+    from mrckit.solver import SolverConfig
+
+    train, _ = demo_csv
+    data = load_dataset(train)
+    fm = fit_thresholds(data, StumpSpec(20))
+    model = train_logreg(data, fm, 0.25, SolverConfig(max_iters=50))
+    model_path = tmp_path / "m.json"
+    save_model(model, model_path, "0.25", data.n)
+    assert run(["bounds", "--model", str(model_path), "--data", train]) == 2
+    assert "instance_marginal" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("policy", ["nan", "inf", "file"])
 def test_non_finite_widths_exit_2(demo_csv, tmp_path, policy):
     train, _ = demo_csv

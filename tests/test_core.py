@@ -12,6 +12,7 @@ from mrckit.core import (
     MrcModel,
     BoundReport,
     ZeroOneLoss,
+    label_blocks,
     beta_of_alpha,
 )
 
@@ -155,7 +156,7 @@ def test_constraint_atoms_scores():
     assert s.shape == (2, 2)
     assert s[0].tolist() == [1.0, 3.0]
     assert s[1].tolist() == [3.0, 7.0]
-    np.testing.assert_allclose(atoms.group(1) @ w, s[1])
+    np.testing.assert_allclose(label_blocks(atoms.patterns, 2)[2:4] @ w, s[1])
 
 
 def test_constraint_atoms_validation():

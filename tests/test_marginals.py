@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mrckit.core import Dataset, FeatureMap, LogLoss, ZeroOneLoss
-from mrckit.features import fit_thresholds, StumpSpec
+from mrckit.features import constraint_atoms, fit_thresholds, StumpSpec
 from mrckit.marginals import (
     adversarial01_objective,
     logreg_objective,
@@ -71,7 +71,7 @@ def test_adversarial_objective_at_zero():
     for k in (2, 3):
         data = random_data(rng, k=k)
         fm = fit_thresholds(data, StumpSpec(4))
-        value, _ = adversarial01_objective(np.zeros(fm.dim), fm, data, 0.0)
+        value, _ = adversarial01_objective(np.zeros(fm.dim), constraint_atoms(fm, data), 0.0)
         assert value == pytest.approx(1.0 - 1.0 / k)
 
 
@@ -82,7 +82,7 @@ def test_adversarial_objective_equals_minimax_hinge():
         fm = fit_thresholds(data, StumpSpec(3))
         for _ in range(20):
             w = rng.normal(size=fm.dim)
-            value, _ = adversarial01_objective(w, fm, data, 0.0)
+            value, _ = adversarial01_objective(w, constraint_atoms(fm, data), 0.0)
             assert value == pytest.approx(minimax_hinge_erm(w, fm, data), abs=1e-12)
 
 
@@ -91,8 +91,8 @@ def test_adversarial_l1_term():
     data = random_data(rng)
     fm = fit_thresholds(data, StumpSpec(3))
     w = rng.normal(size=fm.dim)
-    bare, _ = adversarial01_objective(w, fm, data, 0.0)
-    reg, _ = adversarial01_objective(w, fm, data, 0.5)
+    bare, _ = adversarial01_objective(w, constraint_atoms(fm, data), 0.0)
+    reg, _ = adversarial01_objective(w, constraint_atoms(fm, data), 0.5)
     assert reg == pytest.approx(bare + 0.5 * np.abs(w).sum() / math.sqrt(data.n))
 
 
@@ -100,7 +100,7 @@ def test_logreg_objective_at_zero():
     rng = np.random.default_rng(4)
     data = random_data(rng, k=3)
     fm = fit_thresholds(data, StumpSpec(3))
-    value, _ = logreg_objective(np.zeros(fm.dim), fm, data, 0.0)
+    value, _ = logreg_objective(np.zeros(fm.dim), constraint_atoms(fm, data), 0.0)
     assert value == pytest.approx(math.log(3.0))
 
 
@@ -111,7 +111,7 @@ def test_logreg_objective_equals_mean_nll():
         fm = fit_thresholds(data, StumpSpec(3))
         for _ in range(20):
             w = rng.normal(size=fm.dim)
-            value, _ = logreg_objective(w, fm, data, 0.0)
+            value, _ = logreg_objective(w, constraint_atoms(fm, data), 0.0)
             assert value == pytest.approx(logistic_erm(w, fm, data), abs=1e-12)
 
 
@@ -123,7 +123,7 @@ def test_logreg_single_sample_hand_formula():
     for margin in (0.0, 1.0, -1.0):
         # psi = [1, 1] here, so only the intercept coordinate carries weight
         w = np.array([margin, 0.0, 0.0, 0.0])
-        value, _ = logreg_objective(w, fm, data, 0.0)
+        value, _ = logreg_objective(w, constraint_atoms(fm, data), 0.0)
         assert value == pytest.approx(math.log(1.0 + math.exp(-margin)), abs=1e-12)
 
 
@@ -135,14 +135,14 @@ def test_logreg_gradient_matches_central_differences():
     for _ in range(5):
         w = rng.normal(size=fm.dim)
         w = np.where(np.abs(w) < 0.1, 0.4, w)  # avoid the |w| kink
-        _, grad = logreg_objective(w, fm, data, 0.3)
+        _, grad = logreg_objective(w, constraint_atoms(fm, data), 0.3)
         fd = np.zeros_like(w)
         for i in range(fm.dim):
             e = np.zeros_like(w)
             e[i] = eps
             fd[i] = (
-                logreg_objective(w + e, fm, data, 0.3)[0]
-                - logreg_objective(w - e, fm, data, 0.3)[0]
+                logreg_objective(w + e, constraint_atoms(fm, data), 0.3)[0]
+                - logreg_objective(w - e, constraint_atoms(fm, data), 0.3)[0]
             ) / (2 * eps)
         assert np.abs(grad - fd).max() / max(1.0, np.abs(fd).max()) < 1e-5
 
@@ -168,9 +168,9 @@ def test_logreg_training_matches_scipy_optimum():
     fm = fit_thresholds(data, StumpSpec(3))
     model = train_logreg(data, fm, 0.0, SolverConfig(max_iters=30000, c=1.0))
     ref = minimize(
-        lambda w: logreg_objective(w, fm, data, 0.0)[0],
+        lambda w: logreg_objective(w, constraint_atoms(fm, data), 0.0)[0],
         np.zeros(fm.dim),
-        jac=lambda w: logreg_objective(w, fm, data, 0.0)[1],
+        jac=lambda w: logreg_objective(w, constraint_atoms(fm, data), 0.0)[1],
         method="L-BFGS-B",
     )
     # subgradient steps close in at O(1/sqrt(T)); 1e-2 is what the budget buys
