@@ -13,6 +13,7 @@ import numpy as np
 
 from .core import BoundReport, ConstraintAtoms, ExpectationBox, MrcModel, label_blocks
 from .simplex import OPTIMAL, solve_lp
+from .solver import dual_value
 
 __all__ = [
     "upper_bound",
@@ -27,9 +28,8 @@ __all__ = [
 
 def upper_bound(model: MrcModel, box: ExpectationBox) -> float:
     """Achieved dual objective: half_width.|w| - midpoint.w - offset."""
-    w = model.weights
     offset = model.dual_offset("upper_bound")
-    return float(box.half_width @ np.abs(w) - box.midpoint @ w - offset)
+    return dual_value(model.weights, box.half_width, box.midpoint, offset)
 
 
 def model_loss_table(model: MrcModel, atoms: ConstraintAtoms) -> np.ndarray:

@@ -37,7 +37,7 @@ from .features import (
 )
 from .marginals import train_adversarial01, train_logreg
 from .oracle import brute_force_max_entropy
-from .predictors import predict_labels, predict_probs, sample_labels
+from .predictors import predict_probs, sample_labels
 from .solver import SolverConfig, train_mrc, train_zero_one_exact
 
 EXIT_OK = 0
@@ -74,10 +74,6 @@ def _parse_widths(text, fm):
         raise InputError(f"width policy {text!r}: {exc}") from exc
 
 
-def _solver_config(args):
-    return SolverConfig(max_iters=args.max_iters, step_rule=args.step_rule, c=args.step_c)
-
-
 def _train_one(loss, box, atoms, cfg, fm, solver):
     if solver == "auto":
         exact = loss == ZERO_ONE and fm.num_classes <= MAX_CLASSES_EXACT_LP
@@ -93,7 +89,6 @@ def _add_solver_flags(p):
     p.add_argument("--solver", choices=("auto", "exact", "subgradient"), default="auto")
     p.add_argument("--max-iters", type=int, default=20000)
     p.add_argument("--step-c", type=float, default=0.3)
-    p.add_argument("--step-rule", choices=("diminishing", "constant"), default="diminishing")
     p.add_argument("--max-leaves", type=int, default=20)
 
 
@@ -107,13 +102,14 @@ def cmd_featurize(args):
 
 
 def cmd_train(args):
+    cfg = SolverConfig(max_iters=args.max_iters, c=args.step_c)
     data = load_dataset(args.data, args.classes)
     loss = Loss.from_spec(args.loss)
     fm = fit_thresholds(data, StumpSpec(args.max_leaves))
     widths, policy = _parse_widths(getattr(args, "lambda"), fm)
     box = estimate_expectations(fm, data, widths)
     atoms = constraint_atoms(fm, data)
-    model = _train_one(loss, box, atoms, _solver_config(args), fm, args.solver)
+    model = _train_one(loss, box, atoms, cfg, fm, args.solver)
     upper = bounds_mod.upper_bound(model, box)
     stored = None
     print(f"upper_bound {upper!r}")
@@ -219,6 +215,8 @@ def _experiment_config(path):
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise InputError(f"config {path} must hold a JSON object")
     required = {"dataset": str, "train_sizes": list, "repetitions": int, "test_size": int}
     for key in required:
         if key not in cfg:
@@ -245,6 +243,10 @@ def _experiment_config(path):
     bad = [m for m in cfg["methods"] if m not in METHODS]
     if bad:
         raise InputError(f"unknown methods {bad}; choose from {list(METHODS)}")
+    try:
+        SolverConfig(max_iters=cfg["max_iters"], c=cfg["step_c"])
+    except (ValueError, OverflowError) as exc:
+        raise InputError(f"config keys 'max_iters' and 'step_c': {exc}") from exc
     return cfg
 
 
@@ -351,6 +353,7 @@ def cmd_experiment(args):
 
 
 def cmd_oracle(args):
+    cfg = SolverConfig(max_iters=args.max_iters, c=args.step_c)
     data = load_dataset(args.data, args.classes)
     loss = Loss.from_spec(args.loss)
     fm = fit_thresholds(data, StumpSpec(args.max_leaves))
@@ -365,7 +368,7 @@ def cmd_oracle(args):
     box = estimate_expectations(fm, data, widths)
     atoms = constraint_atoms(fm, data)
     value = brute_force_max_entropy(loss, fm, distinct, box, args.grid_step)
-    model = _train_one(loss, box, atoms, _solver_config(args), fm, args.solver)
+    model = _train_one(loss, box, atoms, cfg, fm, args.solver)
     print(f"brute_force_max_entropy {value!r}")
     print(f"dual_objective {model.objective_value!r}")
     return EXIT_OK

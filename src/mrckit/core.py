@@ -108,14 +108,11 @@ class Loss:
         that fix the instances' marginal predict."""
         return self.rule(scores, self.offset(scores)[:, None])
 
-    def offset(self, scores, tol=1e-10):
-        """Largest offset keeping the dual constraint feasible, per score row.
-
-        ``tol`` is the bracket width of losses whose offset is bisected.
-        """
+    def offset(self, scores):
+        """Largest offset keeping the dual constraint feasible, per score row."""
         raise TypeError(f"no dual offset for loss {self!r}")
 
-    def active_label_weights(self, scores, tol=1e-10):
+    def active_label_weights(self, scores):
         """Per-row offsets with, per row, the label weights of a subgradient.
 
         Returns (offsets, weights): weights[j] is a distribution over labels
@@ -172,12 +169,12 @@ class ZeroOneLoss(Loss):
         k = v.shape[1]
         return np.where(totals > 0.0, v / np.where(totals > 0.0, totals, 1.0), 1.0 / k)
 
-    def offset(self, scores, tol=1e-10):
+    def offset(self, scores):
         from . import solver
 
         return solver.max_offset_zero_one(scores)
 
-    def active_label_weights(self, scores, tol=1e-10):
+    def active_label_weights(self, scores):
         """Uniform weights on each row's minimizing label subset."""
         from . import solver
 
@@ -218,7 +215,7 @@ class LogLoss(Loss):
         lse = vmax + np.log(np.exp(scores - vmax).sum(axis=1, keepdims=True))
         return lse - scores
 
-    def offset(self, scores, tol=1e-10):
+    def offset(self, scores):
         from . import solver
 
         return solver.max_offset_log(scores)
@@ -226,9 +223,12 @@ class LogLoss(Loss):
     def instance_rule(self, scores):
         return self.rule(scores, None)  # the offset cancels; skip computing it
 
-    def active_label_weights(self, scores, tol=1e-10):
-        """The softmax of each row."""
-        return self.offset(scores), self.rule(scores, None)
+    def active_label_weights(self, scores):
+        """-logsumexp and the softmax of each row, from one exponential."""
+        vmax = scores.max(axis=1, keepdims=True)
+        e = np.exp(scores - vmax)
+        total = e.sum(axis=1, keepdims=True)
+        return -(vmax + np.log(total))[:, 0], e / total
 
     def residual(self, scores, offset):
         shifted = scores + offset
@@ -291,14 +291,14 @@ class AlphaLoss(Loss):
             out[over] = base[over] / totals[over, None]
         return out
 
-    def offset(self, scores, tol=1e-10):
+    def offset(self, scores):
         from . import solver
 
-        return solver.max_offset_alpha(scores, self.alpha, tol=tol)
+        return solver.max_offset_alpha(scores, self.alpha)
 
-    def active_label_weights(self, scores, tol=1e-10):
+    def active_label_weights(self, scores):
         """Normalized derivatives ((score + offset)/beta + 1)_+^(beta-1)."""
-        offsets = self.offset(scores, tol)
+        offsets = self.offset(scores)
         beta = self.beta
         t = np.clip((scores + offsets[:, None]) / beta + 1.0, 0.0, None)
         with np.errstate(divide="ignore"):  # 0^(beta-1) for beta < 0, masked out
@@ -619,6 +619,16 @@ class ConstraintAtoms:
             raise ValueError("this table holds patterns only, no label counts")
         return int(self.counts.sum())
 
+    @cached_property
+    def mean(self) -> np.ndarray:
+        """Empirical mean of the feature vectors at the observed (x, y) pairs."""
+        return _frozen((self.counts.T @ self.patterns).ravel() / self.n)
+
+    @cached_property
+    def frequencies(self) -> np.ndarray:
+        """Each pattern's share of the rows: the instances' empirical marginal."""
+        return _frozen(self.counts.sum(axis=1) / self.n)
+
     def scores(self, weights) -> np.ndarray:
         """(r, K) matrix of per-pattern, per-label linear scores."""
         W = np.asarray(weights, dtype=np.float64).reshape(
@@ -669,10 +679,6 @@ class MrcModel:
         if self.variant == "instance_marginal" and self.offset is not None:
             raise ValueError("instance-marginal models recompute the offset per instance")
         object.__setattr__(self, "weights", w)
-
-    @property
-    def block_size(self) -> int:
-        return self.weights.shape[0] // self.num_classes
 
     def dual_offset(self, use: str) -> float:
         """The scalar offset, which only expectation-constrained models carry;

@@ -146,6 +146,8 @@ def load_model(path):
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read model {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise InputError(f"{path}: a model file holds a JSON object")
     if obj.get("format_version") != FORMAT_VERSION:
         raise InputError(f"{path}: unsupported format_version {obj.get('format_version')!r}")
     try:
@@ -168,10 +170,19 @@ def load_model(path):
     params = model.weights if model.offset is None else np.append(model.weights, model.offset)
     if not np.all(np.isfinite(params)):
         raise InputError(f"{path}: non-finite mu or nu in model file")
+    bounds = obj.get("bounds")
+    if bounds is not None and not (
+        isinstance(bounds, dict)
+        and all(
+            type(bounds.get(k)) in (int, float) and -np.inf < bounds[k] < np.inf
+            for k in ("lower", "upper")
+        )
+    ):
+        raise InputError(f"{path}: stored bounds need finite numeric 'lower' and 'upper'")
     meta = {
         "lambda_policy": obj.get("lambda_policy"),
         "n": obj.get("n"),
-        "bounds": obj.get("bounds"),
+        "bounds": bounds,
     }
     return model, meta
 

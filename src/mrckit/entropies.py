@@ -20,6 +20,7 @@ __all__ = [
     "empirical_risk",
     "closed_form_entropy",
     "entropy_by_minimization",
+    "compositions",
     "simplex_grid",
 ]
 
@@ -51,14 +52,6 @@ class ExplicitDistribution:
     @property
     def num_classes(self) -> int:
         return self.probs.shape[1]
-
-    @property
-    def instance_marginal(self) -> np.ndarray:
-        return self.probs.sum(axis=1)
-
-    @property
-    def label_marginal(self) -> np.ndarray:
-        return self.probs.sum(axis=0)
 
 
 def _check_distribution(q):
@@ -92,6 +85,26 @@ def closed_form_entropy(loss: Loss, dist: ExplicitDistribution) -> float:
     return float(loss.entropy(dist.probs))
 
 
+def compositions(units: int, parts: int) -> np.ndarray:
+    """All nonnegative integer vectors of length ``parts`` summing to ``units``.
+
+    Built level by level with vectorized expansion; row order is
+    lexicographic in the leading coordinates.
+    """
+    if parts < 1:
+        raise ValueError("parts must be >= 1")
+    prefix = np.zeros((1, 0), dtype=np.int32)
+    remaining = np.array([units], dtype=np.int32)
+    for _ in range(parts - 1):
+        reps = remaining + 1
+        row_of = np.repeat(np.arange(remaining.shape[0]), reps)
+        offsets = np.concatenate([[0], np.cumsum(reps)[:-1]])
+        first = np.arange(reps.sum(), dtype=np.int32) - np.repeat(offsets, reps)
+        prefix = np.hstack([prefix[row_of], first[:, None]])
+        remaining = remaining[row_of] - first
+    return np.hstack([prefix, remaining[:, None]])
+
+
 def simplex_grid(num_classes: int, step: float) -> np.ndarray:
     """All probability vectors over {1..K} on the lattice of multiples of step.
 
@@ -100,18 +113,7 @@ def simplex_grid(num_classes: int, step: float) -> np.ndarray:
     units = int(round(1.0 / step))
     if units < 1:
         raise ValueError("step must be <= 1")
-
-    def compose(total, parts):
-        if parts == 1:
-            return np.array([[total]], dtype=np.int64)
-        blocks = []
-        for first in range(total + 1):
-            rest = compose(total - first, parts - 1)
-            head = np.full((rest.shape[0], 1), first, dtype=np.int64)
-            blocks.append(np.hstack([head, rest]))
-        return np.vstack(blocks)
-
-    return compose(units, num_classes) / units
+    return compositions(units, num_classes) / units
 
 
 def entropy_by_minimization(

@@ -125,7 +125,7 @@ def fit_thresholds(data: Dataset, spec: StumpSpec = StumpSpec()) -> FeatureMap:
 
 def feature_mean(atoms: ConstraintAtoms) -> np.ndarray:
     """Empirical mean of the feature vectors at the observed (x, y) pairs."""
-    return (atoms.counts.T @ atoms.patterns).ravel() / atoms.n
+    return atoms.mean
 
 
 def widths_vector(widths, dim: int) -> np.ndarray:

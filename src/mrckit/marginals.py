@@ -1,8 +1,11 @@
 """Learners for uncertainty sets that also pin the instances' marginal.
 
 With the instances' marginal fixed at the empirical one, the scalar dual
-offset splits into one closed-form offset per instance, and the training
-objective becomes an L1-regularized empirical risk:
+offset splits into one closed-form offset per instance.  The reduced dual
+keeps its form, with the frequency-weighted mean of the per-pattern offsets
+in place of the smallest, the empirical mean in place of the box midpoint and
+widths/sqrt(n) as the half-width, so the training objective is an
+L1-regularized empirical risk:
 
     (1/n) sum_i [ -phi(x_i, y_i).w - offset(w, x_i) ] + widths.|w|/sqrt(n).
 
@@ -17,10 +20,9 @@ import numpy as np
 
 from .core import LOG, ZERO_ONE, ConstraintAtoms, Dataset, FeatureMap, Loss, MrcModel
 from .features import constraint_atoms, feature_mean, widths_vector
-from .solver import SolverConfig, subgradient_minimize
+from .solver import ReducedDual, SolverConfig, subgradient_minimize
 
 __all__ = [
-    "fixed_marginal_objective",
     "adversarial01_objective",
     "logreg_objective",
     "train_adversarial01",
@@ -29,25 +31,15 @@ __all__ = [
 ]
 
 
-def fixed_marginal_objective(loss: Loss, weights, atoms: ConstraintAtoms, widths=0.0):
-    """Value and subgradient of the fixed-marginal objective of ``loss``.
-
-    -mean.w - sum_j freq_j offset_j(w) + widths.|w|/sqrt(n) over the training
-    table, with each pattern's offset and label weights from the loss.
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    offs, label_weights = loss.active_label_weights(atoms.scores(w))
-    mean = feature_mean(atoms)
-    freq = atoms.counts.sum(axis=1) / atoms.n
-    value = -mean @ w - freq @ offs
-    grad = -mean + ((label_weights * freq[:, None]).T @ atoms.patterns).ravel()
+def _dual(loss: Loss, atoms: ConstraintAtoms, widths) -> ReducedDual:
+    """The fixed-marginal reduced dual of ``loss`` on the training table."""
     reg = widths_vector(widths, atoms.dim) / np.sqrt(atoms.n)
-    return value + reg @ np.abs(w), grad + reg * np.sign(w)
+    return ReducedDual(loss, atoms, reg, feature_mean(atoms), atoms.frequencies)
 
 
 def adversarial01_objective(weights, atoms: ConstraintAtoms, widths=0.0):
     """Value and subgradient of the fixed-marginal 0-1 objective at ``weights``."""
-    return fixed_marginal_objective(ZERO_ONE, weights, atoms, widths)
+    return _dual(ZERO_ONE, atoms, widths).evaluate(weights)[:2]
 
 
 def logreg_objective(weights, atoms: ConstraintAtoms, widths=0.0):
@@ -56,24 +48,15 @@ def logreg_objective(weights, atoms: ConstraintAtoms, widths=0.0):
     Identical to the mean negative log-likelihood of the softmax rule plus
     the L1 term.
     """
-    return fixed_marginal_objective(LOG, weights, atoms, widths)
+    return _dual(LOG, atoms, widths).evaluate(weights)[:2]
 
 
 def _train_fixed_marginal(loss, objective, fm, data, widths, cfg):
     atoms = constraint_atoms(fm, data)
-    best_w, best_value, converged = subgradient_minimize(
+    best_w, converged = subgradient_minimize(
         lambda w: objective(w, atoms, widths), fm.dim, cfg
     )
-    return MrcModel(
-        loss=loss,
-        weights=best_w,
-        offset=None,
-        objective_value=float(best_value),
-        num_classes=fm.num_classes,
-        feature_map=fm,
-        variant="instance_marginal",
-        converged=converged,
-    )
+    return _dual(loss, atoms, widths).model(best_w, fm, converged)
 
 
 def train_adversarial01(

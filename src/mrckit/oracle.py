@@ -13,10 +13,9 @@ import warnings
 import numpy as np
 
 from .core import ConstraintAtoms, ExpectationBox, FeatureMap, Loss, label_blocks
-from .entropies import simplex_grid
+from .entropies import compositions, simplex_grid
 
 __all__ = [
-    "compositions",
     "brute_force_max_entropy",
     "exhaustive_minimax",
     "cell_features",
@@ -24,26 +23,6 @@ __all__ = [
 ]
 
 _SCORE_CAP = 1e6  # finite stand-in for +inf scores on gridded rules
-
-
-def compositions(units: int, parts: int) -> np.ndarray:
-    """All nonnegative integer vectors of length ``parts`` summing to ``units``.
-
-    Built level by level with vectorized expansion; row order is
-    lexicographic in the leading coordinates.
-    """
-    if parts < 1:
-        raise ValueError("parts must be >= 1")
-    prefix = np.zeros((1, 0), dtype=np.int32)
-    remaining = np.array([units], dtype=np.int32)
-    for _ in range(parts - 1):
-        reps = remaining + 1
-        row_of = np.repeat(np.arange(remaining.shape[0]), reps)
-        offsets = np.concatenate([[0], np.cumsum(reps)[:-1]])
-        first = np.arange(reps.sum(), dtype=np.int32) - np.repeat(offsets, reps)
-        prefix = np.hstack([prefix[row_of], first[:, None]])
-        remaining = remaining[row_of] - first
-    return np.hstack([prefix, remaining[:, None]])
 
 
 def cell_features(fm: FeatureMap, instances) -> np.ndarray:

@@ -1,18 +1,20 @@
 """Learning minimax risk classifiers from the reduced dual objective.
 
-The full dual over (weights, eta, offset) collapses to an unconstrained
+The full dual over (weights, eta, offsets) collapses to an unconstrained
 convex problem in the weights alone: eta is optimal at |weights| because the
-box has nonnegative width, and the offset is optimal at the smallest of the
-per-pattern maxima
+uncertainty set has nonnegative half-widths, and each pattern's offset is
+optimal at its largest feasible value
 
     offset_j(w) = max { o : per-loss constraint holds at pattern j }.
 
 These maxima have closed forms for 0-1 and log losses and a monotone
 bisection for alpha losses.  Training minimizes
 
-    F(w) = half_width . |w| - midpoint . w - min_j offset_j(w)
+    F(w) = half_width . |w| - midpoint . w - q . offsets(w),
 
-by subgradient descent (all losses) or, for 0-1 loss, exactly via the
+with q one-hot at the smallest offset for the box alone, or the pattern
+frequencies when the instances' marginal is pinned too, by subgradient
+descent (all losses) or, for the box with 0-1 loss, exactly via the
 subset-constraint LP.
 """
 
@@ -25,11 +27,11 @@ import numpy as np
 
 from .core import (
     MAX_CLASSES_EXACT_LP,
+    ZERO_ONE,
     ConstraintAtoms,
     ExpectationBox,
     Loss,
     MrcModel,
-    ZeroOneLoss,
     beta_of_alpha,
     label_blocks,
 )
@@ -37,6 +39,8 @@ from .simplex import OPTIMAL, solve_lp
 
 __all__ = [
     "SolverConfig",
+    "dual_value",
+    "ReducedDual",
     "ReducedObjective",
     "max_offset_zero_one",
     "max_offset_log",
@@ -48,23 +52,22 @@ __all__ = [
 ]
 
 
+CONVERGENCE_TOL = 1e-6  # relative best-value gain over the trailing window
+_ONE = np.broadcast_to(1.0, 1)  # the nonzero entry of a one-hot q (read-only)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the subgradient path and the alpha-offset bisection."""
+    """Iteration budget and step scale c of the c/sqrt(t) subgradient steps."""
 
     max_iters: int = 20000
-    tol: float = 1e-6
-    step_rule: str = "diminishing"  # c/sqrt(t), or "constant" for c
     c: float = 0.3
-    bisection_tol: float = 1e-10
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
-        if self.step_rule not in ("diminishing", "constant"):
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
+        if not (math.isfinite(self.c) and self.c > 0.0):
+            raise ValueError(f"step scale c must be finite and > 0, got {self.c!r}")
 
 
 def max_offset_zero_one(values, return_support=False):
@@ -150,69 +153,81 @@ def max_offset_alpha(values, alpha, tol=1e-10):
     return out if np.asarray(values).ndim > 1 else float(out[0])
 
 
+def dual_value(weights, half_width, midpoint, offset) -> float:
+    """The reduced dual at ``weights`` given its offset term."""
+    return float(half_width @ np.abs(weights) - midpoint @ weights - offset)
+
+
 @dataclass(frozen=True)
-class ReducedObjective:
-    """The eliminated dual objective F(w) and one of its subgradients."""
+class ReducedDual:
+    """The reduced dual F(w) = half_width.|w| - midpoint.w - q.offsets(w).
+
+    ``marginal`` is q when the instances' marginal is pinned (the pattern
+    frequencies); None means the box alone: q one-hot at the smallest offset.
+    """
 
     loss: Loss
-    box: ExpectationBox
     atoms: ConstraintAtoms
-    bisection_tol: float = 1e-10
+    half_width: np.ndarray
+    midpoint: np.ndarray
+    marginal: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.box.dim != self.atoms.dim:
-            raise ValueError(
-                f"box dimension {self.box.dim} != atoms dimension {self.atoms.dim}"
-            )
+        if len(self.midpoint) != self.atoms.dim:
+            raise ValueError(f"dual dimension {len(self.midpoint)} != atoms {self.atoms.dim}")
 
-    def offsets(self, weights) -> np.ndarray:
-        return self.loss.offset(self.atoms.scores(weights), self.bisection_tol)
-
-    def value(self, weights) -> float:
+    def evaluate(self, weights):
+        """Value, one subgradient and the per-pattern offsets at ``weights``."""
         w = np.asarray(weights, dtype=np.float64)
-        return float(
-            self.box.half_width @ np.abs(w)
-            - self.box.midpoint @ w
-            - self.offsets(w).min()
-        )
-
-    def value_and_subgradient(self, weights):
-        w = np.asarray(weights, dtype=np.float64)
-        offs, label_weights = self.loss.active_label_weights(
-            self.atoms.scores(w), self.bisection_tol
-        )
-        j = int(np.argmin(offs))
-        # d(-min_j offset_j)/dw: the chosen pattern scattered into each label
-        # block with that pattern's label weights.
-        grad_offset = np.outer(label_weights[j], self.atoms.patterns[j]).ravel()
-        value = float(
-            self.box.half_width @ np.abs(w) - self.box.midpoint @ w - offs[j]
-        )
-        grad = self.box.half_width * np.sign(w) - self.box.midpoint + grad_offset
-        return value, grad
+        offsets, label_weights = self.loss.active_label_weights(self.atoms.scores(w))
+        if self.marginal is None:  # q one-hot: sum over its one nonzero row only
+            j = int(np.argmin(offsets))
+            rows, q = slice(j, j + 1), _ONE
+        else:
+            rows, q = slice(None), self.marginal
+        # d(-q.offsets)/dw: each pattern scattered into each label block with
+        # its label weights, scaled by its q
+        grad_offset = ((label_weights[rows].T * q) @ self.atoms.patterns[rows]).ravel()
+        value = dual_value(w, self.half_width, self.midpoint, q @ offsets[rows])
+        return value, self.half_width * np.sign(w) - self.midpoint + grad_offset, offsets
 
     def model(self, weights, feature_map=None, converged=True) -> MrcModel:
-        """The model at ``weights``, with its best offset and objective value."""
+        """The trained model at ``weights``: the box's carries the smallest
+        offset; a pinned marginal's recomputes each instance's at prediction."""
         w = np.asarray(weights, dtype=np.float64)
-        offset = float(self.offsets(w).min())
-        value = float(self.box.half_width @ np.abs(w) - self.box.midpoint @ w - offset)
+        value, _, offsets = self.evaluate(w)
+        box = self.marginal is None
         return MrcModel(
             loss=self.loss,
             weights=w,
-            offset=offset,
+            offset=float(offsets.min()) if box else None,
             objective_value=value,
             num_classes=self.atoms.num_classes,
             feature_map=feature_map,
+            variant="expectation" if box else "instance_marginal",
             converged=bool(converged),
         )
+
+
+class ReducedObjective(ReducedDual):
+    """The reduced dual of a feature-expectation box and one of its subgradients."""
+
+    def __init__(self, loss: Loss, box: ExpectationBox, atoms: ConstraintAtoms):
+        super().__init__(loss, atoms, box.half_width, box.midpoint)
+
+    def value(self, weights) -> float:
+        return self.evaluate(weights)[0]
+
+    def value_and_subgradient(self, weights):
+        return self.evaluate(weights)[:2]
 
 
 def subgradient_minimize(value_and_grad, dim: int, cfg: SolverConfig):
     """Generic best-iterate subgradient loop from the zero start.
 
-    Subgradient steps are not descent steps, so the running best is tracked
-    and returned along with a convergence flag (no significant improvement of
-    the best value over the trailing window).
+    Subgradient steps are not descent steps, so the running best iterate is
+    tracked and returned along with a convergence flag (no significant
+    improvement of the best value over the trailing window).
     """
     w = np.zeros(dim)
     best_w = w.copy()
@@ -226,10 +241,9 @@ def subgradient_minimize(value_and_grad, dim: int, cfg: SolverConfig):
             best_w = w.copy()
         if t == cfg.max_iters - window:
             snapshot = best_value
-        step = cfg.c / math.sqrt(t) if cfg.step_rule == "diminishing" else cfg.c
-        w = w - step * grad
-    converged = snapshot - best_value <= cfg.tol * (1.0 + abs(best_value))
-    return best_w, best_value, bool(converged)
+        w = w - cfg.c / math.sqrt(t) * grad
+    converged = snapshot - best_value <= CONVERGENCE_TOL * (1.0 + abs(best_value))
+    return best_w, bool(converged)
 
 
 def train_mrc(
@@ -243,8 +257,8 @@ def train_mrc(
 
     Non-convergence within the budget is reported on the model, not raised.
     """
-    objective = ReducedObjective(loss, box, atoms, cfg.bisection_tol)
-    best_w, _, converged = subgradient_minimize(
+    objective = ReducedObjective(loss, box, atoms)
+    best_w, converged = subgradient_minimize(
         objective.value_and_subgradient, box.dim, cfg
     )
     return objective.model(best_w, feature_map, converged)
@@ -294,7 +308,7 @@ def train_zero_one_exact(
             "supported on the constraint patterns"
         )
     w = res.x[:m] - res.x[m : 2 * m]
-    return ReducedObjective(ZeroOneLoss(), box, atoms).model(w, feature_map)
+    return ReducedObjective(ZERO_ONE, box, atoms).model(w, feature_map)
 
 
 def dual_feasibility_residual(model: MrcModel, atoms: ConstraintAtoms) -> float:

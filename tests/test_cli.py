@@ -232,7 +232,7 @@ def test_experiment_rejects_bad_config(tmp_path):
 @pytest.mark.parametrize(
     "key, value",
     [("lambda", 0.25), ("max_leaves", "20"), ("step_c", "x"), ("max_iters", 2.5), ("seed", True),
-     ("methods", 5), ("train_sizes", [True])],
+     ("methods", 5), ("train_sizes", [True]), ("step_c", 0), ("step_c", -1), ("step_c", 1e400)],
 )
 def test_experiment_rejects_mistyped_config(demo_csv, tmp_path, capsys, key, value):
     train, _ = demo_csv
@@ -242,6 +242,45 @@ def test_experiment_rejects_mistyped_config(demo_csv, tmp_path, capsys, key, val
     }))
     assert run(["experiment", "--config", str(cfg_path)]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step_c", ["nan", "-1", "0", "inf"])
+def test_train_rejects_bad_step_scale(demo_csv, tmp_path, capsys, step_c):
+    train, _ = demo_csv
+    model_path = tmp_path / "m.json"
+    assert run(["train", "--data", train, "--loss", "log", "--step-c", step_c,
+                "--max-iters", "50", "--out", str(model_path)]) == 2
+    assert "upper_bound" not in capsys.readouterr().out
+    assert not model_path.exists()
+
+
+@pytest.mark.parametrize(
+    "command, text", [("predict --model {} --data {}", "[1, 2]"), ("experiment --config {}", '"x.csv"')]
+)
+def test_non_object_json_file_exits_2(demo_csv, tmp_path, capsys, command, text):
+    _, test = demo_csv
+    path = tmp_path / "file.json"
+    path.write_text(text)
+    assert run(command.format(path, test).split()) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bounds", ["0.5", "[0.1, 0.9]", '{"upper": 0.9}', '{"lower": 0.1}',
+               '{"lower": "0.1", "upper": 0.9}', '{"lower": 0.1, "upper": NaN}',
+               '{"lower": true, "upper": 0.9}'],
+)
+def test_eval_bounds_rejects_malformed_stored_bounds(demo_csv, tmp_path, capsys, bounds):
+    train, test = demo_csv
+    model_path = tmp_path / "m.json"
+    assert run(["train", "--data", train, "--loss", "zero-one", "--lower",
+                "--out", str(model_path)]) == 0
+    obj = json.loads(model_path.read_text())
+    obj["bounds"] = "@"
+    model_path.write_text(json.dumps(obj).replace('"@"', bounds))
+    capsys.readouterr()
+    assert run(["eval", "--model", str(model_path), "--data", test, "--bounds"]) == 2
+    assert "bounds" in capsys.readouterr().err
 
 
 def test_bounds_on_fixed_marginal_model_exits_2(demo_csv, tmp_path, capsys):

@@ -156,6 +156,26 @@ def test_load_model_rejects_non_finite_parameters(tmp_path, key, index, value):
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda obj: [1, 2],
+        lambda obj: "model",
+        lambda obj: {**obj, "bounds": 0.5},
+        lambda obj: {**obj, "bounds": {"upper": 0.9}},
+        lambda obj: {**obj, "bounds": {"lower": 0.1, "upper": "x"}},
+        lambda obj: {**obj, "bounds": {"lower": -np.inf, "upper": 0.9}},
+    ],
+    ids=["list", "string", "bounds-number", "no-lower", "string-upper", "infinite-lower"],
+)
+def test_load_model_rejects_malformed_file(tmp_path, edit):
+    path = tmp_path / "m.json"
+    save_model(toy_model(), path, lambda_policy="0.25", n=10)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(InputError):
+        load_model(path)
+
+
 def test_feature_map_roundtrip(tmp_path):
     fm = FeatureMap(num_classes=4, thresholds=((2, 1.5), (1, -0.25)))
     path = tmp_path / "fm.json"

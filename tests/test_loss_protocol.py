@@ -124,3 +124,13 @@ def test_entropy_vectorises_over_leading_axes(loss):
     batch = loss.entropy(p)
     assert batch.shape == (5,)
     np.testing.assert_allclose(batch, [loss.entropy(t) for t in p], atol=1e-15)
+
+
+@pytest.mark.parametrize("loss", [ZeroOneLoss(), LogLoss(), AlphaLoss(2.0), AlphaLoss(0.5)])
+def test_active_label_weights_carry_the_offsets_exactly(loss):
+    scores = np.random.default_rng(5).normal(scale=3.0, size=(30, 4))
+    offsets, weights = loss.active_label_weights(scores)
+    assert np.array_equal(offsets, loss.offset(scores))
+    np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
+    if isinstance(loss, LogLoss):  # one exponential serves both: the softmax, bit for bit
+        assert np.array_equal(weights, loss.rule(scores, None))
