@@ -1,9 +1,15 @@
-"""Training-time risk guarantees: upper bound, lower-bound LP, worst-case LP.
+"""Training-time risk guarantees: the upper bound and the two bound LPs.
 
-The upper bound is the achieved dual objective.  The lower bound solves a
-linear program whose constraints cap the linear scores by the model's own
-per-pattern losses; the worst-case program bounds any rule's expected loss
-from above over the box.  Both programs restrict attention to the observed
+The upper bound is the achieved dual objective.  Both LPs are the box's
+dual program of ``solver.solve_box_lp`` on the label-block rows (one per
+pattern and label) with a loss table eps on the right:
+
+    L(t) = min half_width.|w| - midpoint.w - o   s.t.  f_j(y).w + o <= t_jy.
+
+By LP duality L(t) = -min E_p[t] over the distributions p on the observed
+patterns whose feature expectations lie in the box, so the lower bound is
+-L(eps) for the model's own losses and the worst-case risk of any rule is
+L(-eps) for that rule's losses.  Both restrict attention to the observed
 constraint patterns, matching how the models were trained.
 """
 
@@ -13,7 +19,7 @@ import numpy as np
 
 from .core import BoundReport, ConstraintAtoms, ExpectationBox, MrcModel, label_blocks
 from .simplex import OPTIMAL, solve_lp
-from .solver import dual_value
+from .solver import dual_value, solve_box_lp
 
 __all__ = [
     "upper_bound",
@@ -38,36 +44,14 @@ def model_loss_table(model: MrcModel, atoms: ConstraintAtoms) -> np.ndarray:
     return model.loss.rule_loss(atoms.scores(model.weights), offset)
 
 
-def _score_constraint_rows(atoms: ConstraintAtoms):
-    """Rows of f_j(y) over split weights plus the offset pair, one per (j, y)."""
-    B = label_blocks(atoms.patterns, atoms.num_classes)
-    ones = np.ones((B.shape[0], 1))
-    return np.hstack([B, -B, ones, -ones])
-
-
 def lower_bound(
     model: MrcModel, box: ExpectationBox, atoms: ConstraintAtoms
 ) -> float:
-    """Risk lower bound: the largest box-feasible value of the model's own loss.
-
-    Maximizes midpoint.w - half_width.eta + offset subject to the per-pattern
-    score caps given by the model's loss table.  Bounded by construction (the
-    offset never exceeds the smallest cap).
-    """
-    eps = model_loss_table(model, atoms)
-    A = _score_constraint_rows(atoms)
-    b = eps.ravel()
-    c = np.concatenate(
-        [
-            box.half_width - box.midpoint,
-            box.half_width + box.midpoint,
-            [-1.0, 1.0],
-        ]
-    )
-    res = solve_lp(c, A, b, ["<="] * A.shape[0], [True] * A.shape[1])
-    if res.status != OPTIMAL:
-        raise RuntimeError(f"lower-bound LP ended with status {res.status}")
-    return float(-res.value)
+    """Risk lower bound: the smallest expected loss of the model's own rule
+    over the distributions on the patterns that the box admits, -L(eps)."""
+    eps = model_loss_table(model, atoms).ravel()
+    rows = label_blocks(atoms.patterns, atoms.num_classes)
+    return -solve_box_lp(box, rows, 1.0, eps, solve_lp)[1]
 
 
 def lower_bound_over_distributions(
@@ -93,25 +77,18 @@ def lower_bound_over_distributions(
 def worst_case_risk(
     loss_table, box: ExpectationBox, atoms: ConstraintAtoms
 ) -> float:
-    """Largest box-feasible expected loss of an arbitrary rule.
+    """Largest expected loss of an arbitrary rule over the distributions on
+    the patterns that the box admits, L(-eps).
 
-    ``loss_table`` holds the rule's loss at every (pattern, label).  Solves
-    the program whose constraints force the score plus offset below the
-    negated losses; its optimum dominates the rule's expected loss under every
-    distribution the box admits.
+    ``loss_table`` holds the rule's loss eps at every (pattern, label).
     """
     eps = np.atleast_2d(np.asarray(loss_table, dtype=np.float64))
     if eps.shape != (atoms.count, atoms.num_classes):
         raise ValueError(
             f"loss table has shape {eps.shape}, need ({atoms.count}, {atoms.num_classes})"
         )
-    A = _score_constraint_rows(atoms)
-    b = -eps.ravel()
-    c = np.concatenate([-box.lower, box.upper, [-1.0, 1.0]])
-    res = solve_lp(c, A, b, ["<="] * A.shape[0], [True] * A.shape[1])
-    if res.status != OPTIMAL:
-        raise RuntimeError(f"worst-case LP ended with status {res.status}")
-    return float(res.value)
+    rows = label_blocks(atoms.patterns, atoms.num_classes)
+    return solve_box_lp(box, rows, 1.0, -eps.ravel(), solve_lp)[1]
 
 
 def generalization_slack(widths, weights, n: int) -> dict:
@@ -130,16 +107,10 @@ def generalization_slack(widths, weights, n: int) -> dict:
     return {"interval_slack": 2.0 * base, "point_slack": base}
 
 
-def bound_report(
-    model: MrcModel,
-    box: ExpectationBox,
-    atoms: ConstraintAtoms,
-    delta: float | None = None,
-) -> BoundReport:
+def bound_report(model: MrcModel, box: ExpectationBox, atoms: ConstraintAtoms) -> BoundReport:
     """Upper/lower bounds plus slack terms for a trained model."""
     return BoundReport(
         upper=upper_bound(model, box),
         lower=lower_bound(model, box, atoms),
-        delta=delta,
         slack_terms=generalization_slack(box.widths, model.weights, box.n),
     )

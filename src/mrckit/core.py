@@ -170,19 +170,14 @@ class ZeroOneLoss(Loss):
         return np.where(totals > 0.0, v / np.where(totals > 0.0, totals, 1.0), 1.0 / k)
 
     def offset(self, scores):
-        from . import solver
-
         return solver.max_offset_zero_one(scores)
 
     def active_label_weights(self, scores):
         """Uniform weights on each row's minimizing label subset."""
-        from . import solver
-
-        v = np.atleast_2d(scores)
-        offsets, order, size = solver.max_offset_zero_one(v, return_support=True)
-        in_subset = np.arange(v.shape[1]) < size[:, None]  # in sorted order
-        weights = np.zeros_like(v)
-        weights[np.arange(v.shape[0])[:, None], order] = in_subset / size[:, None]
+        offsets, order, size = solver.max_offset_zero_one(scores, return_support=True)
+        in_subset = np.arange(scores.shape[1]) < size[:, None]  # in sorted order
+        weights = np.zeros_like(scores)
+        weights[np.arange(scores.shape[0])[:, None], order] = in_subset / size[:, None]
         return offsets, weights
 
     def residual(self, scores, offset):
@@ -216,8 +211,6 @@ class LogLoss(Loss):
         return lse - scores
 
     def offset(self, scores):
-        from . import solver
-
         return solver.max_offset_log(scores)
 
     def instance_rule(self, scores):
@@ -264,25 +257,31 @@ class AlphaLoss(Loss):
         inner = (np.asarray(joint, dtype=np.float64) ** a).sum(axis=-1) ** (1.0 / a)
         return b * (1.0 - inner.sum(axis=-1))
 
+    def _base_masses(self, scores, offset):
+        """((score + offset)/beta + 1)_+^beta; +inf where beta < 0 clamps."""
+        beta = self.beta
+        t = (scores + offset) / beta + 1.0
+        if beta > 0:
+            return np.clip(t, 0.0, None) ** beta
+        return np.where(t > 0.0, np.clip(t, 1e-300, None) ** beta, np.inf)
+
     def rule(self, scores, offset):
         """Base masses ((score + offset)/beta + 1)_+^beta with slack spread uniformly.
 
         Dual feasibility keeps each base row summing to at most 1; the uniform
         allocation of the deficit keeps the rule deterministic and symmetric.
-        A row exceeding 1 + 1e-9 indicates an infeasible model and is a hard
-        error.
+        On a pattern the model was not trained on, the offset can be
+        infeasible: rows whose masses exceed 1 + 1e-9 take their own largest
+        feasible offset instead, as ``instance_rule`` does.
         """
-        beta = self.beta
-        t = (np.atleast_2d(scores) + offset) / beta + 1.0
-        if beta > 0:
-            base = np.clip(t, 0.0, None) ** beta
-        else:
-            base = np.where(t > 0.0, np.clip(t, 1e-300, None) ** beta, np.inf)
+        scores = np.atleast_2d(scores)
+        base = self._base_masses(scores, offset)
         totals = base.sum(axis=1)
-        if np.any(totals > 1.0 + 1e-9):
-            raise RuntimeError(
-                f"alpha rule base masses sum to {totals.max():.6g} > 1: infeasible parameters"
-            )
+        unseen = totals > 1.0 + 1e-9
+        if np.any(unseen):
+            own = self.offset(scores[unseen])[:, None]
+            base[unseen] = self._base_masses(scores[unseen], own)
+            totals[unseen] = base[unseen].sum(axis=1)
         k = base.shape[1]
         slack = np.clip(1.0 - totals, 0.0, None)
         out = base + slack[:, None] / k
@@ -292,8 +291,6 @@ class AlphaLoss(Loss):
         return out
 
     def offset(self, scores):
-        from . import solver
-
         return solver.max_offset_alpha(scores, self.alpha)
 
     def active_label_weights(self, scores):
@@ -306,8 +303,6 @@ class AlphaLoss(Loss):
         return offsets, weights / weights.sum(axis=1, keepdims=True)
 
     def residual(self, scores, offset):
-        from . import solver
-
         lhs = solver._alpha_constraint(scores, np.full(scores.shape[0], offset), self.beta)
         return float((lhs - 1.0).max())
 
@@ -701,7 +696,6 @@ class BoundReport:
 
     upper: float
     lower: float
-    delta: float | None = None
     slack_terms: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -709,3 +703,6 @@ class BoundReport:
             raise ValueError(
                 f"lower bound {self.lower} exceeds upper bound {self.upper}"
             )
+
+
+from . import solver  # noqa: E402  (solver imports this module; bound last to close the cycle)

@@ -47,6 +47,7 @@ __all__ = [
     "max_offset_alpha",
     "subgradient_minimize",
     "train_mrc",
+    "solve_box_lp",
     "train_zero_one_exact",
     "dual_feasibility_residual",
 ]
@@ -79,14 +80,16 @@ def max_offset_zero_one(values, return_support=False):
     sorted label order and the minimizing prefix size (deterministic
     tie-breaks: stable sort, smallest k).
     """
-    v = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    values = np.asarray(values, dtype=np.float64)
+    v = values if values.ndim > 1 else values[None]
+    rows = np.arange(v.shape[0])
     order = np.argsort(-v, axis=1, kind="stable")
-    sv = v[np.arange(v.shape[0])[:, None], order]
+    sv = v[rows[:, None], order]
     k = np.arange(1, v.shape[1] + 1, dtype=np.float64)
     cand = (1.0 - np.cumsum(sv, axis=1) - k) / k
     kstar = np.argmin(cand, axis=1)
-    offsets = cand[np.arange(v.shape[0]), kstar]
-    if np.asarray(values).ndim == 1:
+    offsets = cand[rows, kstar]
+    if values.ndim == 1:
         if return_support:
             return float(offsets[0]), order[0], int(kstar[0]) + 1
         return float(offsets[0])
@@ -264,16 +267,50 @@ def train_mrc(
     return objective.model(best_w, feature_map, converged)
 
 
+def solve_box_lp(box: ExpectationBox, rows, sizes, rhs, solve_lp):
+    """The box's dual as one LP, solved by ``solve_lp``:
+
+        L(t) = min half_width.|w| - midpoint.w - o   s.t.  rows.w + sizes*o <= t
+
+    over columns [w+, w-, u+, u-] >= 0, with w = w+ - w- and the offset
+    written u = o + shift for the smallest shift >= 0 that makes every
+    right-hand side t + sizes*shift nonnegative, so the simplex starts at a
+    feasible origin.  ``sizes`` must be positive.  Returns the weights and
+    L(t).  Training and the bound programs pass their own module's
+    ``solve_lp``, so profiles tell their LPs apart.
+    """
+    sizes = np.broadcast_to(sizes, rhs.shape)
+    shift = max(0.0, float(np.max(-rhs / sizes)))
+    A = np.hstack([rows, -rows, sizes[:, None], -sizes[:, None]])
+    c = np.concatenate(
+        [box.half_width - box.midpoint, box.half_width + box.midpoint, [-1.0, 1.0]]
+    )
+    res = solve_lp(c, A, rhs + sizes * shift, ["<="] * A.shape[0], [True] * A.shape[1])
+    if res.status != OPTIMAL:
+        # always feasible (zero weights, a small enough offset), so a
+        # non-optimal status is an unbounded descent: by duality the box
+        # admits no distribution on the patterns.  Boxes built from data
+        # always contain the empirical distribution.
+        raise RuntimeError(
+            f"box LP {res.status}: the box excludes every distribution "
+            "supported on the constraint patterns"
+        )
+    m = box.dim
+    return res.x[:m] - res.x[m : 2 * m], res.value + shift
+
+
 def train_zero_one_exact(
     box: ExpectationBox,
     atoms: ConstraintAtoms,
     cfg: SolverConfig = SolverConfig(),
     feature_map=None,
 ) -> MrcModel:
-    """Exact 0-1 training via the LP with one row per (pattern, label subset).
+    """Exact 0-1 training: the box LP with one row per (pattern, label subset S),
 
-    The subset constraints linearize the positive parts; the row count is
-    r * (2^K - 1), so the class count is capped.
+        sum_{y in S} f_j(y).w + |S| o <= 1 - |S|,
+
+    which linearizes the positive parts of the 0-1 dual constraint.  The row
+    count is r * (2^K - 1), so the class count is capped.
     """
     K = atoms.num_classes
     if K > MAX_CLASSES_EXACT_LP:
@@ -281,33 +318,13 @@ def train_zero_one_exact(
             f"exact LP path supports at most {MAX_CLASSES_EXACT_LP} classes, got {K}"
         )
     m = atoms.dim
-    r = atoms.count
     masks = np.array(
         [[(s >> y) & 1 for y in range(K)] for s in range(1, 2**K)], dtype=np.float64
     )
-    sizes = np.tile(masks.sum(axis=1), r)[:, None]
+    sizes = np.tile(masks.sum(axis=1), atoms.count)
     # row (j, S): the sum over labels in S of pattern j's label-block vectors
-    AwC = (masks @ label_blocks(atoms.patterns, K).reshape(r, K, m)).reshape(-1, m)
-    A = np.hstack([AwC, -AwC, sizes, -sizes])
-    b = 1.0 - sizes[:, 0]
-    c = np.concatenate(
-        [
-            box.half_width - box.midpoint,
-            box.half_width + box.midpoint,
-            [-1.0, 1.0],
-        ]
-    )
-    res = solve_lp(c, A, b, ["<="] * A.shape[0], [True] * (2 * m + 2))
-    if res.status != OPTIMAL:
-        # this minimization is always feasible (zero weights, small offset),
-        # so a non-optimal status means an unbounded descent: the box admits
-        # no distribution on the atom patterns.  Boxes built from data always
-        # contain the empirical distribution, so this cannot occur for them.
-        raise RuntimeError(
-            f"0-1 training LP {res.status}: the box excludes every distribution "
-            "supported on the constraint patterns"
-        )
-    w = res.x[:m] - res.x[m : 2 * m]
+    rows = (masks @ label_blocks(atoms.patterns, K).reshape(-1, K, m)).reshape(-1, m)
+    w, _ = solve_box_lp(box, rows, sizes, 1.0 - sizes, solve_lp)
     return ReducedObjective(ZERO_ONE, box, atoms).model(w, feature_map)
 
 

@@ -188,9 +188,8 @@ def test_generalization_slack_values():
 def test_bound_report_structure():
     box, atoms = label_frequency_fixture()
     model = uniform_model(ZO, atoms, -0.5)
-    report = bound_report(model, box, atoms, delta=0.05)
+    report = bound_report(model, box, atoms)
     assert report.lower <= report.upper + 1e-8
-    assert report.delta == 0.05
     assert set(report.slack_terms) == {"interval_slack", "point_slack"}
 
 
@@ -213,7 +212,7 @@ def test_sandwich_coverage_on_known_distribution():
         box = estimate_expectations(fm, train, hoeffding_widths(fm, 0.05))
         atoms = constraint_atoms(fm, train)
         model = train_zero_one_exact(box, atoms, feature_map=fm)
-        report = bound_report(model, box, atoms, delta=0.05)
+        report = bound_report(model, box, atoms)
         risk = joint.exact_risk(ZO, predict_probs(model, joint.instances))
         hits += report.lower <= risk <= report.upper
     assert hits >= 45

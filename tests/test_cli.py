@@ -327,6 +327,22 @@ def test_predict_rejects_nan_model_exits_2(demo_csv, tmp_path):
                 "--out", str(tmp_path / "p.csv")]) == 2
 
 
+def test_alpha_model_with_infeasible_offset_predicts(demo_csv, tmp_path, capsys):
+    # an offset above every pattern's feasible one: each row takes its own
+    train, test = demo_csv
+    model_path = tmp_path / "m.json"
+    assert run(["train", "--data", train, "--loss", "alpha:2", "--max-iters", "50",
+                "--out", str(model_path)]) == 0
+    obj = json.loads(model_path.read_text())
+    obj["nu"] = 5.0
+    model_path.write_text(json.dumps(obj))
+    preds = tmp_path / "p.csv"
+    assert run(["predict", "--model", str(model_path), "--data", test, "--out", str(preds)]) == 0
+    probs = np.loadtxt(preds, delimiter=",", skiprows=1, usecols=(1, 2))
+    np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+    assert run(["eval", "--model", str(model_path), "--data", test]) == 0
+
+
 def test_experiment_train_size_beyond_rows_exits_2(tmp_path):
     # 6 rows, 3 classes: 7 training rows cannot be drawn, however they are split
     rows = ["f1,label"] + [f"{i}.0,{i % 3 + 1}" for i in range(6)]

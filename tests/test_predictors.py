@@ -76,9 +76,35 @@ def test_alpha_probs_distribute_slack_uniformly():
     assert probs[0, 0] >= base
 
 
-def test_alpha_probs_reject_infeasible_rows():
-    with pytest.raises(RuntimeError):
-        AlphaLoss(2.0).rule(np.full((1, 2), 2.0), 0.0)
+@pytest.mark.parametrize("alpha", [2.0, 0.5])
+def test_alpha_probs_use_own_offset_on_infeasible_rows(alpha):
+    # at offset 0 the first and last rows' base masses sum above 1 (for
+    # beta < 0 they are unattainable); the middle row is feasible
+    loss = AlphaLoss(alpha)
+    scores = np.array([[2.0, 2.0], [-1.0, -1.0], [3.0, -4.0]])
+    probs = loss.rule(scores, 0.0)
+    assert np.all(probs >= 0.0)
+    np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+    np.testing.assert_array_equal(probs[[0, 2]], loss.instance_rule(scores[[0, 2]]))
+    np.testing.assert_array_equal(probs[1], loss.rule(scores[1:2], 0.0)[0])
+
+
+def test_alpha_model_predicts_on_unseen_patterns():
+    # trained on 40 rows, this model meets indicator patterns it never saw,
+    # at which its offset is infeasible
+    from mrckit.datasets import two_class_demo_joint
+    from mrckit.features import StumpSpec, constraint_atoms, estimate_expectations, fit_thresholds
+
+    joint = two_class_demo_joint()
+    data = joint.sample(40, seed=6)
+    fm = fit_thresholds(data, StumpSpec(6))
+    box = estimate_expectations(fm, data, 0.25)
+    model = train_mrc(
+        AlphaLoss(2.0), box, constraint_atoms(fm, data), SolverConfig(max_iters=300), fm
+    )
+    probs = predict_probs(model, joint.sample(5000, seed=106).instances)
+    assert np.all(probs >= 0.0)
+    np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_rows_are_distributions_for_all_losses():
