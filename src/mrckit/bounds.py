@@ -18,18 +18,20 @@ from __future__ import annotations
 import numpy as np
 
 from .core import BoundReport, ConstraintAtoms, ExpectationBox, MrcModel, label_blocks
-from .simplex import OPTIMAL, solve_lp
-from .solver import dual_value, solve_box_lp
+from .simplex import solve_lp
+from .solver import dual_feasibility_residual, dual_value, solve_box_lp
 
 __all__ = [
     "upper_bound",
     "model_loss_table",
     "lower_bound",
-    "lower_bound_over_distributions",
     "worst_case_risk",
     "generalization_slack",
     "bound_report",
 ]
+
+# largest dual feasibility residual of a model whose bounds are reported
+RESIDUAL_TOL = 1e-9
 
 
 def upper_bound(model: MrcModel, box: ExpectationBox) -> float:
@@ -52,26 +54,6 @@ def lower_bound(
     eps = model_loss_table(model, atoms).ravel()
     rows = label_blocks(atoms.patterns, atoms.num_classes)
     return -solve_box_lp(box, rows, 1.0, eps, solve_lp)[1]
-
-
-def lower_bound_over_distributions(
-    model: MrcModel, box: ExpectationBox, atoms: ConstraintAtoms
-) -> float:
-    """Same bound from the other side: cheapest box-feasible distribution on atoms.
-
-    Kept as the duality self-check for ``lower_bound``; the two optima must
-    agree to solver precision.
-    """
-    eps = model_loss_table(model, atoms)
-    m = atoms.dim
-    E = label_blocks(atoms.patterns, atoms.num_classes).T
-    A = np.vstack([E, E, np.ones((1, E.shape[1]))])
-    b = np.concatenate([box.upper, box.lower, [1.0]])
-    senses = ["<="] * m + [">="] * m + ["="]
-    res = solve_lp(eps.ravel(), A, b, senses, [True] * E.shape[1])
-    if res.status != OPTIMAL:
-        raise RuntimeError(f"distribution-form LP ended with status {res.status}")
-    return float(res.value)
 
 
 def worst_case_risk(
@@ -108,9 +90,21 @@ def generalization_slack(widths, weights, n: int) -> dict:
 
 
 def bound_report(model: MrcModel, box: ExpectationBox, atoms: ConstraintAtoms) -> BoundReport:
-    """Upper/lower bounds plus slack terms for a trained model."""
+    """Upper/lower bounds plus slack terms for a trained model.
+
+    The dual value bounds the risk only if the model's offset is dual
+    feasible on the patterns, so a model whose dual feasibility residual
+    exceeds ``RESIDUAL_TOL`` is refused with a ``ValueError``.
+    """
+    upper = upper_bound(model, box)
+    residual = dual_feasibility_residual(model, atoms)
+    if residual > RESIDUAL_TOL:
+        raise ValueError(
+            f"the model's offset is infeasible on the data (dual feasibility "
+            f"residual {residual!r} > {RESIDUAL_TOL}), so its dual value is no upper bound"
+        )
     return BoundReport(
-        upper=upper_bound(model, box),
+        upper=upper,
         lower=lower_bound(model, box, atoms),
         slack_terms=generalization_slack(box.widths, model.weights, box.n),
     )

@@ -581,7 +581,7 @@ class ConstraintAtoms:
         if self.counts is not None:
             C = _frozen(self.counts, dtype=np.int64)
             if C.shape != (P.shape[0], self.num_classes) or np.any(C < 0) or C.sum() < 1:
-                raise ValueError("counts must be nonnegative (r, K) with a positive total")
+                raise ValueError("counts must be non-negative (r, K) with a positive total")
             object.__setattr__(self, "counts", C)
 
     @classmethod

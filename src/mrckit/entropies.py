@@ -30,7 +30,7 @@ class ExplicitDistribution:
     """A fully enumerated joint distribution over a small instance/label grid.
 
     ``probs[i, y-1]`` is the mass on (instance i, label y); the table must be
-    nonnegative and sum to 1 within 1e-12.
+    non-negative and sum to 1 within 1e-12.
     """
 
     probs: np.ndarray
@@ -38,7 +38,7 @@ class ExplicitDistribution:
     def __post_init__(self):
         p = np.atleast_2d(np.asarray(self.probs, dtype=np.float64))
         if np.any(p < 0.0):
-            raise ValueError("probabilities must be nonnegative")
+            raise ValueError("probabilities must be non-negative")
         if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError("probabilities must sum to 1 within 1e-12")
         p = p.copy()
@@ -86,7 +86,7 @@ def closed_form_entropy(loss: Loss, dist: ExplicitDistribution) -> float:
 
 
 def compositions(units: int, parts: int) -> np.ndarray:
-    """All nonnegative integer vectors of length ``parts`` summing to ``units``.
+    """All non-negative integer vectors of length ``parts`` summing to ``units``.
 
     Built level by level with vectorized expansion; row order is
     lexicographic in the leading coordinates.

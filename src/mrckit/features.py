@@ -129,7 +129,7 @@ def feature_mean(atoms: ConstraintAtoms) -> np.ndarray:
 
 
 def widths_vector(widths, dim: int) -> np.ndarray:
-    """Box widths as a finite, nonnegative dim-vector; a scalar is broadcast."""
+    """Box widths as a finite, non-negative dim-vector; a scalar is broadcast."""
     widths = np.asarray(widths, dtype=np.float64)
     if widths.ndim == 0:
         widths = np.full(dim, float(widths))

@@ -1,16 +1,13 @@
-"""Dense two-phase primal simplex with Bland's rule.
+"""Dense primal simplex with Bland's rule, for feasible-origin LPs.
 
-Small self-contained LP solver used as the exact path for the 0-1 training
-problem and for the risk-bound programs.  Bland's pivoting rule makes cycling
-impossible, at the cost of more iterations than Dantzig's rule; problem sizes
-here stay in the hundreds-to-thousands of rows, which a vectorized dense
-tableau handles comfortably.
+The one LP solver behind exact 0-1 training and both risk-bound programs,
+all built by ``solver.solve_box_lp`` in the one form
 
-Problems are stated as
+    minimize c . x   subject to   A x <= b,  x >= 0,  with b >= 0,
 
-    minimize    c . x
-    subject to  A[i] . x  (<= | >= | =)  b[i]
-                x[j] >= 0 where nonneg[j], else x[j] free.
+so the origin is a feasible vertex: the tableau is ``[A | I | b]`` with the
+slacks as the starting basis.  Bland's rule (Bland, Math. Oper. Res. 1977)
+makes cycling impossible, at the cost of more pivots than Dantzig's rule.
 """
 
 from __future__ import annotations
@@ -19,15 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LpResult", "solve_lp", "OPTIMAL", "INFEASIBLE", "UNBOUNDED"]
+__all__ = ["LpResult", "solve_lp", "OPTIMAL", "UNBOUNDED"]
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _PIVOT_TOL = 1e-9
 _COST_TOL = 1e-9
-_FEAS_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -37,9 +32,9 @@ class LpResult:
     value: float | None
 
 
-def _bland_entering(costs, eligible):
-    """Smallest-index column with reduced cost < -tol among eligible ones."""
-    idx = np.nonzero(eligible & (costs[: eligible.shape[0]] < -_COST_TOL))[0]
+def _bland_entering(cost):
+    """Smallest-index column with reduced cost < -tol."""
+    idx = np.nonzero(cost[:-1] < -_COST_TOL)[0]
     return int(idx[0]) if idx.size else -1
 
 
@@ -62,125 +57,43 @@ def _pivot(T, basis, row, col):
     basis[row] = col
 
 
-def _run_simplex(T, basis, cost, eligible):
-    """Minimize cost over the tableau in place; returns status.
+def solve_lp(c, A, b) -> LpResult:
+    """Minimize c.x over A x <= b, x >= 0; status is optimal or unbounded.
 
-    ``cost`` is the full objective row (reduced costs maintained by pivoting),
-    ``eligible`` masks columns allowed to enter.
-    """
-    while True:
-        col = _bland_entering(cost, eligible)
-        if col < 0:
-            return OPTIMAL
-        row = _bland_leaving(T[:, col], T[:, -1], basis)
-        if row < 0:
-            return UNBOUNDED
-        _pivot(T, basis, row, col)
-        cost -= cost[col] * T[row]
-
-
-def solve_lp(c, A, b, senses, nonneg) -> LpResult:
-    """Solve the LP; status is one of optimal / infeasible / unbounded.
-
-    senses: sequence of "<=", ">=", "=" per row.  nonneg: bool per variable
-    (False means free; free variables are split internally).
+    ``b`` must be non-negative, since the simplex starts at the origin.
     """
     c = np.asarray(c, dtype=np.float64).ravel()
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     b = np.asarray(b, dtype=np.float64).ravel()
-    nonneg = np.asarray(nonneg, dtype=bool).ravel()
     n_rows, n_vars = A.shape
-    if c.shape[0] != n_vars or nonneg.shape[0] != n_vars:
-        raise ValueError("c, A columns, and nonneg must agree in size")
-    if b.shape[0] != n_rows or len(senses) != n_rows:
-        raise ValueError("b and senses must match the number of rows")
+    if c.shape[0] != n_vars:
+        raise ValueError("c and A columns must agree in size")
+    if b.shape[0] != n_rows:
+        raise ValueError("b must match the number of rows")
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
         raise ValueError("LP data must be finite")
+    if np.any(b < 0.0):
+        raise ValueError("b must be non-negative: the simplex starts at the origin")
 
-    # split free variables x = x+ - x-
-    free = np.nonzero(~nonneg)[0]
-    A_full = np.hstack([A, -A[:, free]]) if free.size else A
-    c_full = np.concatenate([c, -c[free]]) if free.size else c.copy()
-    n_split = A_full.shape[1]
+    T = np.zeros((n_rows, n_vars + n_rows + 1))
+    T[:, :n_vars] = A
+    T[:, n_vars:-1] = np.eye(n_rows)
+    T[:, -1] = b
+    basis = np.arange(n_vars, n_vars + n_rows)
+    # reduced costs, kept current by pivoting; the slacks cost nothing
+    cost = np.zeros(n_vars + n_rows + 1)
+    cost[:n_vars] = c
+    while True:
+        col = _bland_entering(cost)
+        if col < 0:
+            break
+        row = _bland_leaving(T[:, col], T[:, -1], basis)
+        if row < 0:
+            return LpResult(UNBOUNDED, None, None)
+        _pivot(T, basis, row, col)
+        cost -= cost[col] * T[row]
 
-    # normalize rows to b >= 0, then attach slack/surplus columns
-    rows = []
-    for i, sense in enumerate(senses):
-        row = A_full[i].copy()
-        rhs = b[i]
-        if sense not in ("<=", ">=", "="):
-            raise ValueError(f"unknown sense {sense!r}")
-        if rhs < 0.0:
-            row = -row
-            rhs = -rhs
-            sense = {"<=": ">=", ">=": "<=", "=": "="}[sense]
-        rows.append((row, rhs, sense))
-
-    n_slack = sum(1 for _, _, s in rows if s in ("<=", ">="))
-    art_needed = [s in (">=", "=") for _, _, s in rows]
-    n_art = sum(art_needed)
-    total = n_split + n_slack + n_art
-
-    T = np.zeros((n_rows, total + 1))
-    basis = np.full(n_rows, -1, dtype=np.int64)
-    si = n_split
-    ai = n_split + n_slack
-    for i, (row, rhs, sense) in enumerate(rows):
-        T[i, :n_split] = row
-        T[i, -1] = rhs
-        if sense == "<=":
-            T[i, si] = 1.0
-            basis[i] = si
-            si += 1
-        elif sense == ">=":
-            T[i, si] = -1.0
-            si += 1
-        if art_needed[i]:
-            T[i, ai] = 1.0
-            basis[i] = ai
-            ai += 1
-
-    structural = np.zeros(total, dtype=bool)
-    structural[: n_split + n_slack] = True
-
-    if n_art:
-        # phase 1: minimize the sum of artificials
-        phase1 = np.zeros(total + 1)
-        phase1[n_split + n_slack :] = 1.0
-        phase1[-1] = 0.0
-        for i in range(n_rows):
-            if basis[i] >= n_split + n_slack:
-                phase1 -= T[i]
-        status = _run_simplex(T, basis, phase1, structural)
-        assert status == OPTIMAL  # phase-1 objective is bounded below by 0
-        if -phase1[-1] > _FEAS_TOL * (1.0 + np.abs(b).max(initial=0.0)):
-            return LpResult(INFEASIBLE, None, None)
-        # drive remaining artificials out of the basis, dropping redundant rows
-        keep = np.ones(n_rows, dtype=bool)
-        for i in range(n_rows):
-            if basis[i] >= n_split + n_slack:
-                cands = np.nonzero(structural & (np.abs(T[i, :-1]) > _PIVOT_TOL))[0]
-                if cands.size:
-                    _pivot(T, basis, i, int(cands[0]))
-                else:
-                    keep[i] = False
-        if not keep.all():
-            T = T[keep]
-            basis = basis[keep]
-
-    cost = np.zeros(total + 1)
-    cost[:n_split] = c_full
-    for i in range(basis.shape[0]):
-        if cost[basis[i]] != 0.0:
-            cost -= cost[basis[i]] * T[i]
-    status = _run_simplex(T, basis, cost, structural)
-    if status != OPTIMAL:
-        return LpResult(UNBOUNDED, None, None)
-
-    x_split = np.zeros(n_split)
-    in_range = basis < n_split
-    x_split[basis[in_range]] = T[in_range, -1]
-    x = x_split[:n_vars].copy()
-    if free.size:
-        x[free] -= x_split[n_vars:]
+    x = np.zeros(n_vars)
+    structural = basis < n_vars
+    x[basis[structural]] = T[structural, -1]
     return LpResult(OPTIMAL, x, float(c @ x))

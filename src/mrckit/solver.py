@@ -2,7 +2,7 @@
 
 The full dual over (weights, eta, offsets) collapses to an unconstrained
 convex problem in the weights alone: eta is optimal at |weights| because the
-uncertainty set has nonnegative half-widths, and each pattern's offset is
+uncertainty set has non-negative half-widths, and each pattern's offset is
 optimal at its largest feasible value
 
     offset_j(w) = max { o : per-loss constraint holds at pattern j }.
@@ -274,10 +274,10 @@ def solve_box_lp(box: ExpectationBox, rows, sizes, rhs, solve_lp):
 
     over columns [w+, w-, u+, u-] >= 0, with w = w+ - w- and the offset
     written u = o + shift for the smallest shift >= 0 that makes every
-    right-hand side t + sizes*shift nonnegative, so the simplex starts at a
-    feasible origin.  ``sizes`` must be positive.  Returns the weights and
-    L(t).  Training and the bound programs pass their own module's
-    ``solve_lp``, so profiles tell their LPs apart.
+    right-hand side t + sizes*shift non-negative, as ``solve_lp`` requires.
+    ``sizes`` must be positive.  Returns the weights and L(t).  Training and
+    the bound programs pass their own module's ``solve_lp``, so profiles tell
+    their LPs apart.
     """
     sizes = np.broadcast_to(sizes, rhs.shape)
     shift = max(0.0, float(np.max(-rhs / sizes)))
@@ -285,7 +285,7 @@ def solve_box_lp(box: ExpectationBox, rows, sizes, rhs, solve_lp):
     c = np.concatenate(
         [box.half_width - box.midpoint, box.half_width + box.midpoint, [-1.0, 1.0]]
     )
-    res = solve_lp(c, A, rhs + sizes * shift, ["<="] * A.shape[0], [True] * A.shape[1])
+    res = solve_lp(c, A, rhs + sizes * shift)
     if res.status != OPTIMAL:
         # always feasible (zero weights, a small enough offset), so a
         # non-optimal status is an unbounded descent: by duality the box

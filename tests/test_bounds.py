@@ -7,7 +7,6 @@ from mrckit.bounds import (
     bound_report,
     generalization_slack,
     lower_bound,
-    lower_bound_over_distributions,
     model_loss_table,
     upper_bound,
     worst_case_risk,
@@ -22,6 +21,7 @@ from mrckit.core import (
 )
 from mrckit.predictors import predict_probs, rule_probs
 from mrckit.solver import SolverConfig, train_mrc, train_zero_one_exact
+from test_box_lp import distribution_lp
 
 ZO = ZeroOneLoss()
 LG = LogLoss()
@@ -121,7 +121,7 @@ def test_lower_bound_duality_self_check():
             box, atoms = random_setup(rng, r=4)
             model = train_mrc(loss, box, atoms, SolverConfig(max_iters=1500))
             a = lower_bound(model, box, atoms)
-            b = lower_bound_over_distributions(model, box, atoms)
+            b = distribution_lp(model_loss_table(model, atoms), box, atoms, 1.0)
             assert a == pytest.approx(b, abs=1e-8)
 
 

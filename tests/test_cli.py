@@ -367,3 +367,18 @@ def test_oracle_subcommand(tmp_path, capsys):
     bf = float(values["brute_force_max_entropy"])
     dual = float(values["dual_objective"])
     assert abs(bf - dual) <= 0.08
+
+
+def test_bounds_on_model_with_infeasible_offset_exits_2(demo_csv, tmp_path, capsys):
+    # a raised offset breaks dual feasibility, so the dual value bounds nothing
+    train, _ = demo_csv
+    model_path = tmp_path / "m.json"
+    assert run(["train", "--data", train, "--loss", "alpha:2", "--max-iters", "2000",
+                "--out", str(model_path)]) == 0
+    assert run(["bounds", "--model", str(model_path), "--data", train]) == 0
+    obj = json.loads(model_path.read_text())
+    obj["nu"] += 0.05
+    model_path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["bounds", "--model", str(model_path), "--data", train]) == 2
+    assert "residual" in capsys.readouterr().err
