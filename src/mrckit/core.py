@@ -257,13 +257,17 @@ class AlphaLoss(Loss):
         inner = (np.asarray(joint, dtype=np.float64) ** a).sum(axis=-1) ** (1.0 / a)
         return b * (1.0 - inner.sum(axis=-1))
 
-    def _base_masses(self, scores, offset):
-        """((score + offset)/beta + 1)_+^beta; +inf where beta < 0 clamps."""
+    def base_masses(self, scores, offset):
+        """((score + offset)/beta + 1)_+^beta; +inf where beta < 0 clamps.
+
+        The dual constraint is that each row of these sums to at most 1; the
+        offset search, the residual and the rule all read it from here.
+        """
         beta = self.beta
         t = (scores + offset) / beta + 1.0
         if beta > 0:
-            return np.clip(t, 0.0, None) ** beta
-        return np.where(t > 0.0, np.clip(t, 1e-300, None) ** beta, np.inf)
+            return np.maximum(t, 0.0) ** beta
+        return np.where(t > 0.0, np.maximum(t, 1e-300) ** beta, np.inf)
 
     def rule(self, scores, offset):
         """Base masses ((score + offset)/beta + 1)_+^beta with slack spread uniformly.
@@ -275,12 +279,12 @@ class AlphaLoss(Loss):
         feasible offset instead, as ``instance_rule`` does.
         """
         scores = np.atleast_2d(scores)
-        base = self._base_masses(scores, offset)
+        base = self.base_masses(scores, offset)
         totals = base.sum(axis=1)
         unseen = totals > 1.0 + 1e-9
         if np.any(unseen):
             own = self.offset(scores[unseen])[:, None]
-            base[unseen] = self._base_masses(scores[unseen], own)
+            base[unseen] = self.base_masses(scores[unseen], own)
             totals[unseen] = base[unseen].sum(axis=1)
         k = base.shape[1]
         slack = np.clip(1.0 - totals, 0.0, None)
@@ -297,14 +301,13 @@ class AlphaLoss(Loss):
         """Normalized derivatives ((score + offset)/beta + 1)_+^(beta-1)."""
         offsets = self.offset(scores)
         beta = self.beta
-        t = np.clip((scores + offsets[:, None]) / beta + 1.0, 0.0, None)
+        t = np.maximum((scores + offsets[:, None]) / beta + 1.0, 0.0)
         with np.errstate(divide="ignore"):  # 0^(beta-1) for beta < 0, masked out
             weights = np.where(t > 0.0, t ** (beta - 1.0), 0.0)
         return offsets, weights / weights.sum(axis=1, keepdims=True)
 
     def residual(self, scores, offset):
-        lhs = solver._alpha_constraint(scores, np.full(scores.shape[0], offset), self.beta)
-        return float((lhs - 1.0).max())
+        return float((self.base_masses(scores, offset).sum(axis=1) - 1.0).max())
 
     def to_json(self):
         return {"loss": self.name, "alpha": self.alpha}

@@ -7,8 +7,10 @@ optimal at its largest feasible value
 
     offset_j(w) = max { o : per-loss constraint holds at pattern j }.
 
-These maxima have closed forms for 0-1 and log losses and a monotone
-bisection for alpha losses.  Training minimizes
+These maxima have closed forms for 0-1 and log losses; for alpha losses
+each is the root of a monotone equation over the top-scoring labels, a
+quadratic at alpha = 2 and safeguarded Newton steps otherwise.  Training
+minimizes
 
     F(w) = half_width . |w| - midpoint . w - q . offsets(w),
 
@@ -28,11 +30,11 @@ import numpy as np
 from .core import (
     MAX_CLASSES_EXACT_LP,
     ZERO_ONE,
+    AlphaLoss,
     ConstraintAtoms,
     ExpectationBox,
     Loss,
     MrcModel,
-    beta_of_alpha,
     label_blocks,
 )
 from .simplex import OPTIMAL, solve_lp
@@ -106,53 +108,107 @@ def max_offset_log(values):
     return out if np.asarray(values).ndim > 1 else float(out[0])
 
 
-def _alpha_constraint(values, offsets, beta):
-    """sum_y ((v_y + o)/beta + 1)_+^beta per row; +inf marks infeasibility
-    for beta < 0 (a clamped base makes the constraint unattainable)."""
-    t = (values + offsets[:, None]) / beta + 1.0
-    if beta > 0:
-        return (np.clip(t, 0.0, None) ** beta).sum(axis=1)
-    out = np.where((t > 0.0).all(axis=1), 0.0, np.inf)
-    safe = np.clip(t, 1e-300, None)
-    finite = np.isfinite(out)
-    out[finite] = (safe[finite] ** beta).sum(axis=1)
+_NEWTON_STEPS = 100  # cap per call; a row stops once its step is below _NEWTON_RTOL of d
+_NEWTON_RTOL = 1e-14
+_GAP_BLOCK = 1 << 18  # pairwise label gaps held at once: 2 MB of float64
+
+
+def _active_labels(u, beta):
+    """Labels whose breakpoint d = -u_j lies at or below the root, for beta > 1:
+    those where the constraint sum_i (u_i - u_j)_+^beta is still <= 1.  A gap
+    above 1 already puts a breakpoint past the root, so gaps are capped at 1
+    (no overflow at huge beta) and such labels masked out.  Rows go in blocks
+    so that the (rows, K, K) gaps stay small whatever the batch size."""
+    out = np.empty(u.shape, dtype=bool)
+    step = max(1, _GAP_BLOCK // u.shape[1] ** 2)
+    for a in range(0, len(u), step):
+        b = u[a : a + step]
+        gaps = np.minimum(np.maximum(b[:, :, None] - b[:, None, :], 0.0), 1.0)
+        out[a : a + step] = ((gaps**beta).sum(axis=1) <= 1.0) & (b >= -1.0)
     return out
 
 
-def max_offset_alpha(values, alpha, tol=1e-10):
-    """Largest offset keeping the alpha-loss dual constraint feasible, by bisection.
-
-    The constraint value is nondecreasing in the offset for both beta > 1 and
-    beta < 0, which the bracket check verifies before bisecting.  Returns the
-    feasible (lower) end of the final bracket.
-    """
-    beta = beta_of_alpha(alpha)
-    v = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    k = v.shape[1]
-    vmax = v.max(axis=1)
-    if beta > 0:
-        lo = -beta - vmax
-        hi = -vmax
-    else:
-        lo = -vmax - abs(beta) * (k ** (1.0 / abs(beta)) - 1.0) - 1.0
-        hi = -v.min(axis=1)
-    width = hi - lo
-    for _ in range(200):  # monotonicity makes the initial bracket valid; belt and braces
-        bad_lo = _alpha_constraint(v, lo, beta) > 1.0
-        bad_hi = _alpha_constraint(v, hi, beta) < 1.0
-        if not (bad_lo.any() or bad_hi.any()):
+def _newton_root(u, d, lo, hi, beta):
+    """Root in [lo, hi] of sum_y (u_y + d)_+^beta = 1 per row, by Newton steps
+    from ``d``, each clipped into the bracket (a NaN step lands on ``lo``).
+    A row keeps its value once its step falls below ``_NEWTON_RTOL`` of it, so
+    each row's result does not depend on the other rows."""
+    done = np.zeros(d.shape, dtype=bool)
+    for _ in range(_NEWTON_STEPS):
+        x = np.maximum(u + d[:, None], 0.0)
+        xp = x ** (beta - 1.0)
+        step = ((xp * x).sum(axis=1) - 1.0) / (beta * xp.sum(axis=1))
+        new = np.where(done, d, np.fmin(np.fmax(d - step, lo), hi))
+        done = np.abs(new - d) <= _NEWTON_RTOL * new
+        d = new
+        if done.all():
             break
-        lo = np.where(bad_lo, lo - width, lo)
-        hi = np.where(bad_hi, hi + width, hi)
-        width = hi - lo
+    return d
+
+
+def _round_down_to_feasible(loss, values, offsets, scale):
+    """Each offset stepped down until its row's constraint holds in floating
+    point: first to the next float below, then 1, 4, 16, ... units of
+    eps * (scale + |offset|) below, ``scale`` bounding the terms it came from."""
+    trial = np.nextafter(offsets, -np.inf)
+    unit = np.finfo(np.float64).eps * (scale + np.abs(offsets))
+    for n in range(32):
+        over = loss.base_masses(values, trial[:, None]).sum(axis=1) > 1.0
+        if not over.any():
+            return trial
+        trial = np.where(over, offsets - unit * 4.0**n, trial)
+    raise RuntimeError("alpha offset did not reach the feasible side")
+
+
+def max_offset_alpha(values, alpha):
+    """Largest offset o with sum_y ((v_y + o)/beta + 1)_+^beta <= 1, rows of ``values``.
+
+    With the top score v_1 and u_y = (v_y - v_1)/beta, the offset is
+    o = beta (d - 1) - v_1 for the root d of sum_y (u_y + d)_+^beta = 1,
+    whose left side is monotone and convex in d on each bracket below.
+
+    For beta > 1 the labels active at the root are a prefix in score order:
+    the k largest scores, where k counts the breakpoints d = -u_j at which
+    the constraint is still <= 1, so a per-label test finds them without a
+    sort.  On the bracket [-u_k, min(-u_{k+1}, 1)] every term is at most 1
+    (so a huge beta does not overflow) and the prefix equation is smooth:
+    beta = 2 solves it as a quadratic in the prefix sums, other beta by
+    Newton steps from the bracket's right end.  For beta < 0
+    every label is active and the root lies in
+    [max(1, K^(1/|beta|) - mean u), K^(1/|beta|)]; Newton steps run from the
+    left end.  Either way they approach the root monotonically, stop on a
+    relative step and never exceed a fixed count.  The result is then
+    stepped down until the constraint holds in floating point, so it is
+    feasible.  Raises ValueError naming alpha when the offset overflows
+    float64 (alpha close to 0).
+    """
+    loss = AlphaLoss(alpha)
+    beta = loss.beta
+    v = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    K = v.shape[1]
+    top = v.max(axis=1)
+    u = (v - top[:, None]) / beta  # <= 0 for beta > 1, >= 0 for beta < 0
+    if beta > 0:
+        active = _active_labels(u, beta)
+        if beta == 2.0:
+            ua = u * active
+            s1, s2, k = ua.sum(axis=1), (ua * ua).sum(axis=1), active.sum(axis=1)
+            d = (np.sqrt(np.maximum(s1 * s1 - k * (s2 - 1.0), 0.0)) - s1) / k
+        else:
+            lo = np.where(active, -u, 0.0).max(axis=1)  # -u_k
+            hi = np.where(active, 1.0, np.minimum(-u, 1.0)).min(axis=1)  # min(-u_{k+1}, 1)
+            d = _newton_root(u, hi, lo, hi, beta)
     else:
-        raise RuntimeError("alpha offset bracket failed to enclose a root")
-    while (hi - lo).max() > tol:
-        mid = 0.5 * (lo + hi)
-        feasible = _alpha_constraint(v, mid, beta) <= 1.0
-        lo = np.where(feasible, mid, lo)
-        hi = np.where(feasible, hi, mid)
-    out = lo
+        with np.errstate(over="ignore"):
+            hi = np.float64(K) ** (-1.0 / beta)
+        if not math.isfinite(hi):
+            raise ValueError(
+                f"alpha {alpha!r} is too close to 0 for {K} labels: "
+                "the dual offset overflows float64"
+            )
+        lo = np.maximum(1.0, hi - u.mean(axis=1))
+        d = _newton_root(u, lo, lo, hi, beta)
+    out = _round_down_to_feasible(loss, v, beta * (d - 1.0) - top, abs(beta) + np.abs(top))
     return out if np.asarray(values).ndim > 1 else float(out[0])
 
 
