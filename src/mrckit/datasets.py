@@ -14,7 +14,7 @@ import numpy as np
 from .core import Dataset, FeatureMap, Loss
 from .entropies import ExplicitDistribution
 
-__all__ = ["KnownJoint", "eight_point_joint", "two_class_demo_joint"]
+__all__ = ["KnownJoint", "eight_point_joint", "lattice_joint", "two_class_demo_joint"]
 
 
 @dataclass(frozen=True)
@@ -104,3 +104,24 @@ def two_class_demo_joint() -> KnownJoint:
     px = np.full(20, 1.0 / 20.0)
     probs = np.stack([px * p1, px * (1.0 - p1)], axis=1)
     return KnownJoint(instances=instances, probs=probs)
+
+
+def lattice_joint(rng, num_classes=4, side=6, spread=1.5, floor=0.1) -> KnownJoint:
+    """K-class joint on a side x side lattice with class centres drawn from rng.
+
+    Centres sit near evenly spaced anchors on a circle, jittered by up to one
+    lattice step, so every draw gives K distinct but overlapping classes.
+    p(y | x) mixes a Gaussian bump around each centre with a uniform floor;
+    the instance marginal is uniform.
+    """
+    grid = np.arange(float(side))
+    X = np.array([[a, b] for a in grid for b in grid])
+    mid = (side - 1) / 2.0
+    angles = 2.0 * np.pi * (np.arange(num_classes) + 0.5) / num_classes
+    anchors = mid + 0.3 * side * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    centres = anchors + rng.uniform(-1.0, 1.0, size=anchors.shape)
+    d2 = ((X[:, None, :] - centres[None, :, :]) ** 2).sum(axis=2)
+    bump = np.exp(-d2 / (2.0 * spread**2))
+    cond = (1.0 - floor) * bump / bump.sum(axis=1, keepdims=True) + floor / num_classes
+    probs = cond / X.shape[0]
+    return KnownJoint(instances=X, probs=probs / probs.sum())

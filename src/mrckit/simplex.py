@@ -1,4 +1,4 @@
-"""Dense primal simplex with Bland's rule, for feasible-origin LPs.
+"""Dense primal simplex with Dantzig pricing, for feasible-origin LPs.
 
 The one LP solver behind exact 0-1 training and both risk-bound programs,
 all built by ``solver.solve_box_lp`` in the one form
@@ -6,8 +6,12 @@ all built by ``solver.solve_box_lp`` in the one form
     minimize c . x   subject to   A x <= b,  x >= 0,  with b >= 0,
 
 so the origin is a feasible vertex: the tableau is ``[A | I | b]`` with the
-slacks as the starting basis.  Bland's rule (Bland, Math. Oper. Res. 1977)
-makes cycling impossible, at the cost of more pivots than Dantzig's rule.
+slacks as the starting basis.  The entering column has the most negative
+reduced cost (Dantzig's rule).  These LPs are highly degenerate, and
+Dantzig's rule alone can cycle, so once a run of consecutive degenerate
+pivots reaches the row count the column is chosen by Bland's rule (Bland,
+Math. Oper. Res. 1977) until the next pivot that moves.  A cycle needs an
+endless degenerate run, and during one Bland's rule is finite.
 """
 
 from __future__ import annotations
@@ -30,6 +34,13 @@ class LpResult:
     status: str
     x: np.ndarray | None
     value: float | None
+    pivots: int  # every pivot made, Bland fallback pivots included
+
+
+def _dantzig_entering(cost):
+    """Column with the most negative reduced cost < -tol, smallest index on ties."""
+    col = int(np.argmin(cost[:-1]))
+    return col if cost[col] < -_COST_TOL else -1
 
 
 def _bland_entering(cost):
@@ -83,17 +94,22 @@ def solve_lp(c, A, b) -> LpResult:
     # reduced costs, kept current by pivoting; the slacks cost nothing
     cost = np.zeros(n_vars + n_rows + 1)
     cost[:n_vars] = c
+    pivots = degenerate = 0
     while True:
-        col = _bland_entering(cost)
+        entering = _bland_entering if degenerate >= n_rows else _dantzig_entering
+        col = entering(cost)
         if col < 0:
             break
         row = _bland_leaving(T[:, col], T[:, -1], basis)
         if row < 0:
-            return LpResult(UNBOUNDED, None, None)
+            return LpResult(UNBOUNDED, None, None, pivots)
+        step = T[row, -1] / T[row, col]
+        degenerate = degenerate + 1 if step <= _PIVOT_TOL else 0
         _pivot(T, basis, row, col)
         cost -= cost[col] * T[row]
+        pivots += 1
 
     x = np.zeros(n_vars)
     structural = basis < n_vars
     x[basis[structural]] = T[structural, -1]
-    return LpResult(OPTIMAL, x, float(c @ x))
+    return LpResult(OPTIMAL, x, float(c @ x), pivots)

@@ -374,9 +374,8 @@ def train_zero_one_exact(
             f"exact LP path supports at most {MAX_CLASSES_EXACT_LP} classes, got {K}"
         )
     m = atoms.dim
-    masks = np.array(
-        [[(s >> y) & 1 for y in range(K)] for s in range(1, 2**K)], dtype=np.float64
-    )
+    # row s - 1 marks the labels of subset s, bit y of s standing for label y
+    masks = ((np.arange(1, 2**K)[:, None] >> np.arange(K)) & 1).astype(np.float64)
     sizes = np.tile(masks.sum(axis=1), atoms.count)
     # row (j, S): the sum over labels in S of pattern j's label-block vectors
     rows = (masks @ label_blocks(atoms.patterns, K).reshape(-1, K, m)).reshape(-1, m)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from mrckit import bounds, solver
+from mrckit import bounds, features, solver
 from mrckit.core import (
     AlphaLoss,
     ConstraintAtoms,
@@ -25,6 +25,7 @@ from mrckit.core import (
     ZeroOneLoss,
     label_blocks,
 )
+from mrckit.datasets import lattice_joint
 
 LOSSES = (ZeroOneLoss(), LogLoss(), AlphaLoss(2.0), AlphaLoss(0.5))
 
@@ -111,6 +112,16 @@ def test_exact_training_matches_subset_program(num_classes):
         atoms, box = random_case(rng, num_classes)
         model = solver.train_zero_one_exact(box, atoms)
         assert model.objective_value == pytest.approx(subset_lp_value(box, atoms), abs=1e-9)
+
+
+@pytest.mark.parametrize("num_classes, leaves", [(5, 4), (6, 3)])
+def test_exact_training_matches_subset_program_on_lattice(num_classes, leaves):
+    data = lattice_joint(np.random.default_rng([1, num_classes]), num_classes).sample(3000, seed=1)
+    fm = features.fit_thresholds(data, features.StumpSpec(leaves))
+    box = features.estimate_expectations(fm, data, 0.25)
+    atoms = features.constraint_atoms(fm, data)
+    model = solver.train_zero_one_exact(box, atoms)
+    assert model.objective_value == pytest.approx(subset_lp_value(box, atoms), abs=1e-9)
 
 
 @pytest.mark.parametrize("num_classes", [2, 3, 4])
