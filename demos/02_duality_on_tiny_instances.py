@@ -24,7 +24,7 @@ mean = true_joint.ravel() @ cell_features(fm, instances)
 atoms = atoms_from_instances(fm, instances)
 
 for widths in (0.0, 0.5):
-    box = ExpectationBox.from_mean(mean, np.full(6, widths), 100)
+    box = ExpectationBox(mean, np.full(6, widths), 100)
     oracle = brute_force_max_entropy(ZeroOneLoss(), fm, instances, box, grid_step=0.02)
     minimax = exhaustive_minimax(ZeroOneLoss(), fm, instances, box, 0.05, 0.05)
     exact = train_zero_one_exact(box, atoms)

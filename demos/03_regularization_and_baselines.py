@@ -30,7 +30,7 @@ for _ in range(300):
     mean, widths = rng.random(m), rng.random(m)
     n = int(rng.integers(1, 500))
     w = rng.normal(size=m) * 2
-    box = ExpectationBox.from_mean(mean, widths, n)
+    box = ExpectationBox(mean, widths, n)
     lhs = box.half_width @ np.abs(w) - box.midpoint @ w
     rhs = -mean @ w + (widths @ np.abs(w)) / math.sqrt(n)
     worst = max(worst, abs(lhs - rhs))
@@ -77,7 +77,7 @@ box = estimate_expectations(fm, data, widths)
 atoms = constraint_atoms(fm, data)
 model = train_zero_one_exact(box, atoms, SolverConfig(), feature_map=fm)
 terms = generalization_slack(widths, model.weights, data.n)
-ideal_box = ExpectationBox.from_mean(joint.exact_feature_mean(fm), np.zeros(fm.dim), data.n)
+ideal_box = ExpectationBox(joint.exact_feature_mean(fm), np.zeros(fm.dim), data.n)
 ideal = train_zero_one_exact(ideal_box, atoms)
 print(f"   upper bound:              {upper_bound(model, box):.4f}")
 print(f"   ideal (infinite-n) value: {ideal.objective_value:.4f}")

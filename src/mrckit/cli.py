@@ -11,6 +11,7 @@ import argparse
 import concurrent.futures
 import csv
 import json
+import math
 import os
 import sys
 
@@ -26,7 +27,7 @@ from .data_io import (
     save_feature_map,
     save_model,
 )
-from .entropies import empirical_risk
+from .entropies import empirical_risk, grid_units
 from .features import (
     StumpSpec,
     constraint_atoms,
@@ -43,6 +44,8 @@ from .solver import SolverConfig, train_mrc, train_zero_one_exact
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
+
+ORACLE_BUDGET = 25_000_000  # lattice entries (points x cells); 2.1e7 peaked at 414 MB
 
 METHODS = ("mrc-zero-one", "mrc-log", "adversarial-zero-one", "logistic-regression")
 
@@ -354,15 +357,17 @@ def cmd_experiment(args):
 
 def cmd_oracle(args):
     cfg = SolverConfig(max_iters=args.max_iters, c=args.step_c)
+    units = grid_units(args.grid_step)
     data = load_dataset(args.data, args.classes)
     loss = Loss.from_spec(args.loss)
     fm = fit_thresholds(data, StumpSpec(args.max_leaves))
     distinct = np.unique(data.instances, axis=0)
     cells = distinct.shape[0] * data.num_classes
-    if cells > 8:
+    points = math.comb(units + cells - 1, cells - 1)  # compositions of units into cells
+    if points * cells > ORACLE_BUDGET:
         raise InputError(
-            f"{distinct.shape[0]} distinct instances x {data.num_classes} labels "
-            "exceeds the enumeration budget (8 cells)"
+            f"{points} lattice points x {cells} cells (distinct instances x labels) at grid "
+            f"step {args.grid_step!r} exceed the enumeration budget of {ORACLE_BUDGET} entries"
         )
     widths, _ = _parse_widths(getattr(args, "lambda"), fm)
     box = estimate_expectations(fm, data, widths)

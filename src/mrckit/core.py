@@ -96,17 +96,13 @@ class Loss:
         raise TypeError(f"unsupported loss {self!r}")
 
     def rule(self, scores, offset) -> np.ndarray:
-        """Conditional probability rows of the MRC rule at raw (n, K) scores."""
+        """Conditional probability rows of the MRC rule at raw (n, K) scores, at
+        a scalar ``offset`` or, for None, at each row's largest feasible one."""
         raise TypeError(f"no prediction rule for loss {self!r}")
 
     def rule_loss(self, scores, offset) -> np.ndarray:
         """Loss of the rule's own rows at every label, shape (n, K)."""
         return self.loss_table(self.rule(scores, offset))
-
-    def instance_rule(self, scores) -> np.ndarray:
-        """The rule with each row's own largest feasible offset, as models
-        that fix the instances' marginal predict."""
-        return self.rule(scores, self.offset(scores)[:, None])
 
     def offset(self, scores):
         """Largest offset keeping the dual constraint feasible, per score row."""
@@ -164,7 +160,10 @@ class ZeroOneLoss(Loss):
 
     def rule(self, scores, offset):
         """Normalized positive parts (score + offset + 1)_+, uniform where they vanish."""
-        v = np.clip(np.atleast_2d(scores) + offset + 1.0, 0.0, None)
+        scores = np.atleast_2d(scores)
+        if offset is None:
+            offset = self.offset(scores)[:, None]
+        v = np.clip(scores + offset + 1.0, 0.0, None)
         totals = v.sum(axis=1, keepdims=True)
         k = v.shape[1]
         return np.where(totals > 0.0, v / np.where(totals > 0.0, totals, 1.0), 1.0 / k)
@@ -198,7 +197,7 @@ class LogLoss(Loss):
         return _xlogx(p.sum(axis=-1)).sum(axis=-1) - _xlogx(p).sum(axis=(-2, -1))
 
     def rule(self, scores, offset):
-        """Row softmax of the scores; the trained offset cancels."""
+        """Row softmax of the scores; any offset, None included, cancels."""
         v = np.atleast_2d(scores)
         v = v - v.max(axis=1, keepdims=True)
         e = np.exp(v)
@@ -212,9 +211,6 @@ class LogLoss(Loss):
 
     def offset(self, scores):
         return solver.max_offset_log(scores)
-
-    def instance_rule(self, scores):
-        return self.rule(scores, None)  # the offset cancels; skip computing it
 
     def active_label_weights(self, scores):
         """-logsumexp and the softmax of each row, from one exponential."""
@@ -276,16 +272,17 @@ class AlphaLoss(Loss):
         allocation of the deficit keeps the rule deterministic and symmetric.
         On a pattern the model was not trained on, the offset can be
         infeasible: rows whose masses exceed 1 + 1e-9 take their own largest
-        feasible offset instead, as ``instance_rule`` does.
+        feasible offset instead, as every row does when ``offset`` is None.
         """
         scores = np.atleast_2d(scores)
-        base = self.base_masses(scores, offset)
+        if offset is None:
+            base, own = np.empty_like(scores), np.ones(scores.shape[0], dtype=bool)
+        else:
+            base = self.base_masses(scores, offset)
+            own = base.sum(axis=1) > 1.0 + 1e-9
+        if np.any(own):
+            base[own] = self.base_masses(scores[own], self.offset(scores[own])[:, None])
         totals = base.sum(axis=1)
-        unseen = totals > 1.0 + 1e-9
-        if np.any(unseen):
-            own = self.offset(scores[unseen])[:, None]
-            base[unseen] = self.base_masses(scores[unseen], own)
-            totals[unseen] = base[unseen].sum(axis=1)
         k = base.shape[1]
         slack = np.clip(1.0 - totals, 0.0, None)
         out = base + slack[:, None] / k
@@ -467,45 +464,39 @@ class FeatureMap:
 class ExpectationBox:
     """Empirical feature expectations with the interval box around them.
 
-    lower = mean - widths/sqrt(n) and upper = mean + widths/sqrt(n)
-    componentwise; widths >= 0.
+    The box is mean +- widths/sqrt(n) componentwise, widths >= 0; its
+    endpoints ``lower`` and ``upper`` are computed from those three.
     """
 
     mean: np.ndarray
     widths: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
     n: int
 
     def __post_init__(self):
         mean = _frozen(self.mean)
         widths = _frozen(self.widths)
-        lo = _frozen(self.lower)
-        hi = _frozen(self.upper)
-        if not (mean.shape == widths.shape == lo.shape == hi.shape):
-            raise ValueError("mean, widths, lower, upper must share a shape")
+        if mean.shape != widths.shape:
+            raise ValueError("mean and widths must share a shape")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if np.any(widths < 0.0):
             raise ValueError("widths must be componentwise >= 0")
-        r = self.n ** -0.5
-        if np.max(np.abs(lo - (mean - widths * r)), initial=0.0) > 1e-12:
-            raise ValueError("lower endpoint inconsistent with mean - widths/sqrt(n)")
-        if np.max(np.abs(hi - (mean + widths * r)), initial=0.0) > 1e-12:
-            raise ValueError("upper endpoint inconsistent with mean + widths/sqrt(n)")
-        for name, arr in (("mean", mean), ("widths", widths), ("lower", lo), ("upper", hi)):
-            object.__setattr__(self, name, arr)
-
-    @classmethod
-    def from_mean(cls, mean, widths, n: int) -> "ExpectationBox":
-        mean = np.asarray(mean, dtype=np.float64)
-        widths = np.asarray(widths, dtype=np.float64)
-        r = n ** -0.5
-        return cls(mean, widths, mean - widths * r, mean + widths * r, n)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "widths", widths)
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
+
+    @cached_property
+    def lower(self) -> np.ndarray:
+        """mean - widths/sqrt(n)."""
+        return _frozen(self.mean - self.widths * self.n ** -0.5)
+
+    @cached_property
+    def upper(self) -> np.ndarray:
+        """mean + widths/sqrt(n)."""
+        return _frozen(self.mean + self.widths * self.n ** -0.5)
 
     @cached_property
     def half_width(self) -> np.ndarray:
@@ -639,9 +630,9 @@ class ConstraintAtoms:
 class MrcModel:
     """A trained minimax risk classifier.
 
-    ``variant`` is "expectation" for box-constrained models carrying a scalar
-    offset, or "instance_marginal" for fixed instances'-marginal models whose
-    offset is recomputed per instance at prediction time.  The feature map is
+    The offset decides how it predicts: a box-constrained model carries its
+    scalar dual offset, and one that pins the instances' marginal has offset
+    None, using each instance's own at prediction time.  The feature map is
     optional so solvers can emit models straight from constraint patterns;
     predicting on raw instances requires one.
     """
@@ -652,7 +643,6 @@ class MrcModel:
     objective_value: float
     num_classes: int
     feature_map: FeatureMap | None = None
-    variant: str = "expectation"
     converged: bool = True
 
     def __post_init__(self):
@@ -670,18 +660,17 @@ class MrcModel:
                 raise ValueError(
                     f"weights have shape {w.shape}, feature map needs ({self.feature_map.dim},)"
                 )
-        if self.variant not in ("expectation", "instance_marginal"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant == "expectation" and self.offset is None:
-            raise ValueError("expectation-constrained models carry a scalar offset")
-        if self.variant == "instance_marginal" and self.offset is not None:
-            raise ValueError("instance-marginal models recompute the offset per instance")
         object.__setattr__(self, "weights", w)
+
+    @property
+    def variant(self) -> str:
+        """"expectation" when the model carries a scalar offset, else "instance_marginal"."""
+        return "expectation" if self.offset is not None else "instance_marginal"
 
     def dual_offset(self, use: str) -> float:
         """The scalar offset, which only expectation-constrained models carry;
         ``use`` names what needed it in the error for any other variant."""
-        if self.variant != "expectation":
+        if self.offset is None:
             raise ValueError(
                 f"{use} needs an expectation-constrained model, not variant {self.variant!r}"
             )

@@ -111,7 +111,6 @@ def save_dataset(data: Dataset, path):
 
 
 _VARIANT_TO_JSON = {"expectation": "expectation", "instance_marginal": "instance-marginal"}
-_VARIANT_FROM_JSON = {v: k for k, v in _VARIANT_TO_JSON.items()}
 
 
 def save_model(model: MrcModel, path, lambda_policy: str, n: int, bounds=None):
@@ -162,11 +161,15 @@ def load_model(path):
             objective_value=float(obj["objective_value"]),
             num_classes=int(obj["num_classes"]),
             feature_map=fm,
-            variant=_VARIANT_FROM_JSON.get(obj.get("variant"), obj.get("variant")),
             converged=bool(obj.get("converged", True)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed model file ({exc})") from exc
+    if obj.get("variant") != _VARIANT_TO_JSON[model.variant]:
+        raise InputError(
+            f'{path}: variant {obj.get("variant")!r} disagrees with "nu" ("expectation" '
+            'files carry a scalar "nu", "instance-marginal" files none)'
+        )
     params = model.weights if model.offset is None else np.append(model.weights, model.offset)
     if not np.all(np.isfinite(params)):
         raise InputError(f"{path}: non-finite mu or nu in model file")

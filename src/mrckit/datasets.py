@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, FeatureMap, Loss
-from .entropies import ExplicitDistribution
 
 __all__ = ["KnownJoint", "eight_point_joint", "lattice_joint", "two_class_demo_joint"]
 
@@ -45,9 +44,6 @@ class KnownJoint:
     @property
     def num_classes(self) -> int:
         return self.probs.shape[1]
-
-    def explicit(self) -> ExplicitDistribution:
-        return ExplicitDistribution(probs=self.probs)
 
     def sample(self, n: int, seed) -> Dataset:
         """Draw n iid pairs; reproducible for a given seed."""

@@ -21,6 +21,7 @@ __all__ = [
     "closed_form_entropy",
     "entropy_by_minimization",
     "compositions",
+    "grid_units",
     "simplex_grid",
 ]
 
@@ -105,14 +106,21 @@ def compositions(units: int, parts: int) -> np.ndarray:
     return np.hstack([prefix, remaining[:, None]])
 
 
-def simplex_grid(num_classes: int, step: float) -> np.ndarray:
-    """All probability vectors over {1..K} on the lattice of multiples of step.
+def grid_units(step: float) -> int:
+    """The number of grid steps in 1, for a step in (0, 1] that divides 1
+    to within round-off; raises ValueError for any other step."""
+    if not 0.0 < step <= 1.0 or 1.0 / step == np.inf:
+        raise ValueError(f"grid step must lie in (0, 1] with a finite inverse, got {step!r}")
+    units = round(1.0 / step)
+    if abs(units * step - 1.0) > 1e-9:
+        raise ValueError(f"grid step {step!r} does not divide 1")
+    return units
 
-    step must divide 1 to within round-off; rows sum to exactly 1.
-    """
-    units = int(round(1.0 / step))
-    if units < 1:
-        raise ValueError("step must be <= 1")
+
+def simplex_grid(num_classes: int, step: float) -> np.ndarray:
+    """All probability vectors over {1..K} on the lattice of multiples of a
+    step that ``grid_units`` accepts; rows sum to exactly 1."""
+    units = grid_units(step)
     return compositions(units, num_classes) / units
 
 

@@ -146,7 +146,7 @@ def estimate_expectations(fm: FeatureMap, data: Dataset, widths) -> ExpectationB
     atoms = ConstraintAtoms.from_indicators(
         fm.indicator_matrix(data.instances), fm.num_classes, data.labels
     )
-    return ExpectationBox.from_mean(feature_mean(atoms), widths, data.n)
+    return ExpectationBox(feature_mean(atoms), widths, data.n)
 
 
 def widths_from_feature_range(spread, delta: float) -> np.ndarray:

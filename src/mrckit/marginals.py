@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import LOG, ZERO_ONE, ConstraintAtoms, Dataset, FeatureMap, Loss, MrcModel
 from .features import constraint_atoms, feature_mean, widths_vector
+from .predictors import predict_probs
 from .solver import ReducedDual, SolverConfig, subgradient_minimize
 
 __all__ = [
@@ -74,7 +75,8 @@ def train_logreg(
 
 
 def predict_fixed_marginal(model: MrcModel, X) -> np.ndarray:
-    """Conditional probabilities of a fixed-marginal model at instances X."""
-    if model.variant != "instance_marginal":
+    """Conditional probabilities of a fixed-marginal model at instances X:
+    ``predict_probs`` once the model is checked to carry no offset."""
+    if model.offset is not None:
         raise TypeError("predict_fixed_marginal needs an instance-marginal model")
-    return model.loss.instance_rule(model.score_matrix(X))
+    return predict_probs(model, X)

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 
 from .core import ConstraintAtoms, ExpectationBox, FeatureMap, Loss, label_blocks
-from .entropies import compositions, simplex_grid
+from .entropies import compositions, grid_units, simplex_grid
 
 __all__ = [
     "brute_force_max_entropy",
@@ -62,7 +62,7 @@ def brute_force_max_entropy(
     X = np.atleast_2d(np.asarray(instances, dtype=np.float64))
     nx, K = X.shape[0], fm.num_classes
     cells = nx * K
-    units = int(round(1.0 / grid_step))
+    units = grid_units(grid_step)
     cell_phi = cell_features(fm, instances)
     slack = grid_step * float(np.abs(cell_phi).max(initial=0.0))
     marginal = None if instance_marginal is None else np.asarray(instance_marginal)
@@ -108,7 +108,7 @@ def exhaustive_minimax(
     """
     X = np.atleast_2d(np.asarray(instances, dtype=np.float64))
     nx, K = X.shape[0], fm.num_classes
-    units = int(round(1.0 / dist_grid_step))
+    units = grid_units(dist_grid_step)
     cell_phi = cell_features(fm, instances)
     slack = dist_grid_step * float(np.abs(cell_phi).max(initial=0.0))
     marginal = None if instance_marginal is None else np.asarray(instance_marginal)

@@ -25,11 +25,7 @@ def rule_probs(loss: Loss, scores, offset) -> np.ndarray:
 
 
 def predict_probs(model: MrcModel, X) -> np.ndarray:
-    """The model's rule at instances X; fixed-marginal models go through marginals."""
-    if model.variant != "expectation":
-        from .marginals import predict_fixed_marginal
-
-        return predict_fixed_marginal(model, X)
+    """The model's rule at instances X, at its offset (None: each row's own)."""
     return rule_probs(model.loss, model.score_matrix(X), model.offset)
 
 

@@ -255,15 +255,13 @@ class ReducedDual:
         offset; a pinned marginal's recomputes each instance's at prediction."""
         w = np.asarray(weights, dtype=np.float64)
         value, _, offsets = self.evaluate(w)
-        box = self.marginal is None
         return MrcModel(
             loss=self.loss,
             weights=w,
-            offset=float(offsets.min()) if box else None,
+            offset=float(offsets.min()) if self.marginal is None else None,
             objective_value=value,
             num_classes=self.atoms.num_classes,
             feature_map=feature_map,
-            variant="expectation" if box else "instance_marginal",
             converged=bool(converged),
         )
 

@@ -80,7 +80,7 @@ def _tiny_fixtures():
         (fm3, x3, j3, 0.5),
     ):
         mean = joint.ravel() @ cell_features(fm, X)
-        box = ExpectationBox.from_mean(mean, np.full(fm.dim, widths), 100)
+        box = ExpectationBox(mean, np.full(fm.dim, widths), 100)
         out.append((fm, X, box))
     return out
 
@@ -143,7 +143,7 @@ def test_criterion_3_interval_objective_is_l1_regularization():
         widths = rng.random(m)
         n = int(rng.integers(1, 1000))
         w = rng.normal(size=m) * 2.0
-        box = ExpectationBox.from_mean(mean, widths, n)
+        box = ExpectationBox(mean, widths, n)
         interval_form = box.half_width @ np.abs(w) - box.midpoint @ w
         l1_form = -mean @ w + (widths @ np.abs(w)) / math.sqrt(n)
         worst = max(worst, abs(interval_form - l1_form))
@@ -297,7 +297,7 @@ def test_criterion_6_numerical_oracles():
     for j in range(2):
         for y in range(2):
             mean[y * 2 : (y + 1) * 2] += p[j, y] * patterns[j]
-    box = ExpectationBox.from_mean(mean, rng.random(4) * 0.4, 25)
+    box = ExpectationBox(mean, rng.random(4) * 0.4, 25)
     ro = ReducedObjective(LG, box, atoms)
     eps = 1e-6
     worst_grad = 0.0
@@ -338,8 +338,8 @@ def test_criterion_7_bound_monotonicity_in_widths():
                 mean[y * blk : (y + 1) * blk] += p[j, y] * atoms.patterns[j]
         widths = rng.random(atoms.dim) * 0.4
         grown = widths + rng.random(atoms.dim) * 0.5
-        box_s = ExpectationBox.from_mean(mean, widths, 25)
-        box_l = ExpectationBox.from_mean(mean, grown, 25)
+        box_s = ExpectationBox(mean, widths, 25)
+        box_l = ExpectationBox(mean, grown, 25)
         small = train_zero_one_exact(box_s, atoms)
         large = train_zero_one_exact(box_l, atoms)
         worst_upper_retrain = max(

@@ -29,7 +29,7 @@ LG = LogLoss()
 
 def label_frequency_fixture():
     atoms = ConstraintAtoms(patterns=np.ones((1, 1)), num_classes=2)
-    box = ExpectationBox.from_mean([0.5, 0.5], [0.0, 0.0], 4)
+    box = ExpectationBox([0.5, 0.5], [0.0, 0.0], 4)
     return box, atoms
 
 
@@ -54,13 +54,13 @@ def random_setup(rng, num_classes=2, r=3, block=2, n=25, width_scale=0.5):
     for j in range(atoms.count):
         for y in range(num_classes):
             mean[y * blk : (y + 1) * blk] += p[j, y] * atoms.patterns[j]
-    box = ExpectationBox.from_mean(mean, rng.random(atoms.dim) * width_scale, n)
+    box = ExpectationBox(mean, rng.random(atoms.dim) * width_scale, n)
     return box, atoms
 
 
 def test_upper_bound_uniform_models():
     _, atoms = label_frequency_fixture()
-    box = ExpectationBox.from_mean([0.5, 0.5], [0.0, 0.0], 4)
+    box = ExpectationBox([0.5, 0.5], [0.0, 0.0], 4)
     m01 = uniform_model(ZO, atoms, -0.5)
     assert upper_bound(m01, box) == pytest.approx(0.5)
     mlog = uniform_model(LG, atoms, -math.log(2))
@@ -157,7 +157,7 @@ def test_upper_monotone_in_widths_with_exact_retraining():
     rng = np.random.default_rng(5)
     for _ in range(50):
         box, atoms = random_setup(rng, r=3)
-        grown = ExpectationBox.from_mean(
+        grown = ExpectationBox(
             box.mean, box.widths + rng.random(box.dim) * 0.5, box.n
         )
         small = train_zero_one_exact(box, atoms)
@@ -169,7 +169,7 @@ def test_fixed_model_bounds_monotone_in_widths():
     rng = np.random.default_rng(6)
     for _ in range(50):
         box, atoms = random_setup(rng, r=3)
-        grown = ExpectationBox.from_mean(
+        grown = ExpectationBox(
             box.mean, box.widths + rng.random(box.dim) * 0.5, box.n
         )
         model = train_zero_one_exact(box, atoms)

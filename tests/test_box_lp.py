@@ -38,7 +38,7 @@ def random_case(rng, num_classes, r=4, block=3):
     p = rng.random(atoms.count * num_classes)
     p /= p.sum()
     mean = p @ label_blocks(atoms.patterns, num_classes)
-    box = ExpectationBox.from_mean(mean, rng.random(atoms.dim) * 0.5, 25)
+    box = ExpectationBox(mean, rng.random(atoms.dim) * 0.5, 25)
     return atoms, box
 
 

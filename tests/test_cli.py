@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,8 @@ import pytest
 from mrckit.cli import main
 from mrckit.data_io import load_model, save_dataset
 from mrckit.datasets import two_class_demo_joint
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -367,6 +373,51 @@ def test_oracle_subcommand(tmp_path, capsys):
     bf = float(values["brute_force_max_entropy"])
     dual = float(values["dual_objective"])
     assert abs(bf - dual) <= 0.08
+
+
+# address-space cap of the oracle's child process: an enumeration the budget
+# should have refused then fails in the child instead of exhausting memory
+ORACLE_AS_CAP = 1 << 30
+
+
+def _oracle_in_child(path, step):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    code = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({ORACLE_AS_CAP}, {ORACLE_AS_CAP}))\n"
+        "from mrckit.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    argv = ["oracle", "--data", str(path), "--loss", "zero-one", "--lambda", "0.3"]
+    if step is not None:
+        argv += ["--grid-step", step]
+    try:
+        return subprocess.run(
+            [sys.executable, "-c", code, *argv], cwd=ROOT, env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+    except subprocess.TimeoutExpired:
+        raise AssertionError(f"oracle at grid step {step} did not finish within 120 s") from None
+
+
+@pytest.mark.parametrize(
+    "instances, step, code",
+    [(3, "0.1", 0), (3, "0", 2), (3, "3", 2), (3, "inf", 2), (3, "0.3", 2), (3, "1e-9", 2),
+     (3, "1e-310", 2), (4, None, 2)],
+)
+def test_oracle_refuses_bad_steps_and_oversized_lattices(tmp_path, instances, step, code):
+    # 3 instances x 2 labels = 6 cells at a valid step is the control; 8 cells
+    # at the default step 0.02 would enumerate 2.6e8 compositions (8.5 GB)
+    rows = ["f1,label"] + [f"{x}.0,{y}" for x in range(instances) for y in (1, 1, 2)]
+    path = tmp_path / "tiny.csv"
+    path.write_text("\n".join(rows) + "\n")
+    done = _oracle_in_child(path, step)
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
+    if code == 2:
+        assert done.stderr.startswith("error: ")
 
 
 def test_bounds_on_model_with_infeasible_offset_exits_2(demo_csv, tmp_path, capsys):

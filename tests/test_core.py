@@ -127,7 +127,7 @@ def test_feature_vector_block_structure_property(k_classes, n_th, seed):
 
 
 def test_expectation_box_roundtrip():
-    box = ExpectationBox.from_mean([1.0, 0.0], [0.25, 0.25], 4)
+    box = ExpectationBox([1.0, 0.0], [0.25, 0.25], 4)
     np.testing.assert_allclose(box.lower, [0.875, -0.125])
     np.testing.assert_allclose(box.upper, [1.125, 0.125])
     np.testing.assert_allclose(box.half_width, [0.125, 0.125])
@@ -135,18 +135,7 @@ def test_expectation_box_roundtrip():
 
 def test_expectation_box_rejects_negative_widths():
     with pytest.raises(ValueError):
-        ExpectationBox.from_mean([0.5], [-0.1], 4)
-
-
-def test_expectation_box_rejects_inconsistent_endpoints():
-    with pytest.raises(ValueError):
-        ExpectationBox(
-            mean=np.array([0.5]),
-            widths=np.array([0.1]),
-            lower=np.array([0.3]),
-            upper=np.array([0.55]),
-            n=4,
-        )
+        ExpectationBox([0.5], [-0.1], 4)
 
 
 def test_constraint_atoms_scores():
@@ -168,21 +157,25 @@ def test_constraint_atoms_validation():
 
 def test_model_variant_offset_coupling():
     fm = FeatureMap(num_classes=2, thresholds=())
-    MrcModel(
+    box_model = MrcModel(
         loss=ZeroOneLoss(), weights=np.zeros(2), offset=-0.5,
         objective_value=0.5, num_classes=2, feature_map=fm,
     )
-    with pytest.raises(ValueError):
-        MrcModel(
-            loss=ZeroOneLoss(), weights=np.zeros(2), offset=None,
-            objective_value=0.5, num_classes=2, feature_map=fm,
-        )
-    with pytest.raises(ValueError):
+    assert box_model.variant == "expectation"
+    pinned = MrcModel(
+        loss=ZeroOneLoss(), weights=np.zeros(2), offset=None,
+        objective_value=0.5, num_classes=2, feature_map=fm,
+    )
+    assert pinned.variant == "instance_marginal"
+    # the offset alone decides the variant: it can be neither passed nor set
+    with pytest.raises(TypeError):
         MrcModel(
             loss=ZeroOneLoss(), weights=np.zeros(2), offset=-0.5,
             objective_value=0.5, num_classes=2, feature_map=fm,
             variant="instance_marginal",
         )
+    with pytest.raises(AttributeError):
+        box_model.variant = "instance_marginal"
 
 
 def test_bound_report_orders_bounds():

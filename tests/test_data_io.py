@@ -165,8 +165,13 @@ def test_load_model_rejects_non_finite_parameters(tmp_path, key, index, value):
         lambda obj: {**obj, "bounds": {"upper": 0.9}},
         lambda obj: {**obj, "bounds": {"lower": 0.1, "upper": "x"}},
         lambda obj: {**obj, "bounds": {"lower": -np.inf, "upper": 0.9}},
+        lambda obj: {k: v for k, v in obj.items() if k != "variant"},
+        lambda obj: {**obj, "variant": "box"},
+        lambda obj: {k: v for k, v in obj.items() if k != "nu"},
+        lambda obj: {**obj, "variant": "instance-marginal"},
     ],
-    ids=["list", "string", "bounds-number", "no-lower", "string-upper", "infinite-lower"],
+    ids=["list", "string", "bounds-number", "no-lower", "string-upper", "infinite-lower",
+         "no-variant", "unknown-variant", "expectation-without-nu", "instance-marginal-with-nu"],
 )
 def test_load_model_rejects_malformed_file(tmp_path, edit):
     path = tmp_path / "m.json"

@@ -20,7 +20,7 @@ LG = LogLoss()
 def label_frequency_setup():
     fm = FeatureMap(num_classes=2, thresholds=())
     instances = np.array([[0.0]])
-    box = ExpectationBox.from_mean([0.5, 0.5], [0.0, 0.0], 4)
+    box = ExpectationBox([0.5, 0.5], [0.0, 0.0], 4)
     return fm, instances, box
 
 
@@ -29,7 +29,7 @@ def three_instance_setup(widths=0.0):
     instances = np.array([[0.0], [1.0], [2.0]])
     joint = np.array([[0.25, 0.05], [0.10, 0.20], [0.05, 0.35]])
     mean = joint.ravel() @ cell_features(fm, instances)
-    box = ExpectationBox.from_mean(mean, np.full(6, widths), 100)
+    box = ExpectationBox(mean, np.full(6, widths), 100)
     return fm, instances, box
 
 
@@ -56,7 +56,7 @@ def test_label_frequency_pinch():
 
 def test_unconstrained_box_reaches_uniform():
     fm, instances, _ = label_frequency_setup()
-    box = ExpectationBox.from_mean([0.5, 0.5], [1e6, 1e6], 4)
+    box = ExpectationBox([0.5, 0.5], [1e6, 1e6], 4)
     assert brute_force_max_entropy(ZO, fm, instances, box, 0.01) == pytest.approx(
         0.5, abs=1e-9
     )
@@ -67,7 +67,7 @@ def test_unconstrained_box_reaches_uniform():
 
 def test_point_mass_box_gives_bayes_risk():
     fm, instances, _ = label_frequency_setup()
-    box = ExpectationBox.from_mean([0.8, 0.2], [0.0, 0.0], 4)
+    box = ExpectationBox([0.8, 0.2], [0.0, 0.0], 4)
     v = brute_force_max_entropy(ZO, fm, instances, box, 0.02)
     assert v == pytest.approx(0.2, abs=0.05)
     mm = exhaustive_minimax(ZO, fm, instances, box, 0.02, 0.02)
@@ -76,7 +76,7 @@ def test_point_mass_box_gives_bayes_risk():
 
 def test_empty_filtered_set_warns_and_returns_neg_inf():
     fm, instances, _ = label_frequency_setup()
-    box = ExpectationBox.from_mean([0.9, 0.9], [0.0, 0.0], 4)  # no distribution fits
+    box = ExpectationBox([0.9, 0.9], [0.0, 0.0], 4)  # no distribution fits
     with pytest.warns(UserWarning):
         v = brute_force_max_entropy(ZO, fm, instances, box, 0.05)
     assert v == -math.inf
@@ -86,7 +86,7 @@ def test_oracle_monotone_in_widths():
     fm, instances, box0 = three_instance_setup(0.0)
     values = []
     for w in (0.0, 0.3, 0.8, 2.0):
-        box = ExpectationBox.from_mean(box0.mean, np.full(6, w), 100)
+        box = ExpectationBox(box0.mean, np.full(6, w), 100)
         values.append(brute_force_max_entropy(ZO, fm, instances, box, 0.05))
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 

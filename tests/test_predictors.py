@@ -85,7 +85,7 @@ def test_alpha_probs_use_own_offset_on_infeasible_rows(alpha):
     probs = loss.rule(scores, 0.0)
     assert np.all(probs >= 0.0)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-    np.testing.assert_array_equal(probs[[0, 2]], loss.instance_rule(scores[[0, 2]]))
+    np.testing.assert_array_equal(probs[[0, 2]], loss.rule(scores[[0, 2]], None))
     np.testing.assert_array_equal(probs[1], loss.rule(scores[1:2], 0.0)[0])
 
 
@@ -133,7 +133,7 @@ def _consistent_box(rng, atoms):
     for j in range(atoms.count):
         for y in range(atoms.num_classes):
             mean[y * blk : (y + 1) * blk] += p[j, y] * atoms.patterns[j]
-    return ExpectationBox.from_mean(mean, rng.random(atoms.dim) * 0.3, 25)
+    return ExpectationBox(mean, rng.random(atoms.dim) * 0.3, 25)
 
 
 def test_feasibility_inheritance_on_atoms():

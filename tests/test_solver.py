@@ -40,7 +40,7 @@ def enumerate_offset_zero_one(values):
 
 def label_frequency_fixture():
     atoms = ConstraintAtoms(patterns=np.ones((1, 1)), num_classes=2)
-    box = ExpectationBox.from_mean([0.5, 0.5], [0.0, 0.0], 4)
+    box = ExpectationBox([0.5, 0.5], [0.0, 0.0], 4)
     return box, atoms
 
 
@@ -61,7 +61,7 @@ def random_box(rng, atoms, n=25):
     for j in range(atoms.count):
         for y in range(atoms.num_classes):
             mean[y * blk : (y + 1) * blk] += p[j, y] * atoms.patterns[j]
-    return ExpectationBox.from_mean(mean, rng.random(atoms.dim) * 0.5, n)
+    return ExpectationBox(mean, rng.random(atoms.dim) * 0.5, n)
 
 
 # ---------------------------------------------------------------- offsets
@@ -146,7 +146,7 @@ def test_reduced_value_point_box_identity():
     # with zero widths the objective is -mean.w - min_j offset_j
     rng = np.random.default_rng(4)
     atoms = random_atoms(rng)
-    box = ExpectationBox.from_mean(rng.random(atoms.dim), np.zeros(atoms.dim), 9)
+    box = ExpectationBox(rng.random(atoms.dim), np.zeros(atoms.dim), 9)
     ro = ReducedObjective(LG, box, atoms)
     for _ in range(20):
         w = rng.normal(size=atoms.dim)
@@ -162,7 +162,7 @@ def test_interval_objective_equals_l1_regularized_point_objective():
         widths = rng.random(m)
         n = int(rng.integers(1, 1000))
         w = rng.normal(size=m) * 2.0
-        box = ExpectationBox.from_mean(mean, widths, n)
+        box = ExpectationBox(mean, widths, n)
         lhs = box.half_width @ np.abs(w) - box.midpoint @ w
         rhs = -mean @ w + (widths @ np.abs(w)) / math.sqrt(n)
         assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -235,7 +235,7 @@ def test_train_label_frequency_log():
 def test_huge_widths_drive_weights_to_zero():
     rng = np.random.default_rng(9)
     atoms = random_atoms(rng, r=4)
-    box = ExpectationBox.from_mean(rng.random(atoms.dim), np.full(atoms.dim, 1e6), 25)
+    box = ExpectationBox(rng.random(atoms.dim), np.full(atoms.dim, 1e6), 25)
     m01 = train_mrc(ZO, box, atoms, SolverConfig(max_iters=2000))
     assert np.abs(m01.weights).max() < 1e-3
     assert m01.objective_value == pytest.approx(0.5, abs=1e-4)
@@ -251,7 +251,7 @@ def test_exact_lp_label_frequency():
 
 def test_exact_lp_single_constant_atom():
     atoms = ConstraintAtoms(patterns=np.ones((1, 1)), num_classes=2)
-    box = ExpectationBox.from_mean([0.4, 0.6], [0.1, 0.1], 16)
+    box = ExpectationBox([0.4, 0.6], [0.1, 0.1], 16)
     model = train_zero_one_exact(box, atoms)
     ro = ReducedObjective(ZO, box, atoms)
     # hand LP: maximum entropy pulls the dominant label mass to its lower
@@ -276,7 +276,7 @@ def test_exact_matches_subgradient_on_small_instances():
 
 def test_exact_lp_rejects_many_classes():
     atoms = ConstraintAtoms(patterns=np.ones((1, 1)), num_classes=13)
-    box = ExpectationBox.from_mean(np.full(13, 1 / 13), np.zeros(13), 4)
+    box = ExpectationBox(np.full(13, 1 / 13), np.zeros(13), 4)
     with pytest.raises(ValueError):
         train_zero_one_exact(box, atoms)
 
@@ -302,7 +302,7 @@ def test_exact_lp_model_is_dual_feasible():
 def test_exact_lp_flags_empty_box():
     # intercept coordinates of any distribution sum to 1; this box forbids that
     atoms = ConstraintAtoms(patterns=np.ones((1, 1)), num_classes=2)
-    box = ExpectationBox.from_mean([0.9, 0.9], [0.0, 0.0], 4)
+    box = ExpectationBox([0.9, 0.9], [0.0, 0.0], 4)
     with pytest.raises(RuntimeError):
         train_zero_one_exact(box, atoms)
 
