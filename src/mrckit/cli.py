@@ -2,7 +2,8 @@
 
 Subcommands: featurize, train, predict, eval, bounds, experiment, oracle.
 Exit codes: 0 success, 2 malformed input, 3 numeric failure under --strict.
-MRC_THREADS caps the number of parallel experiment cells.
+MRC_THREADS caps the number of parallel experiment cells.  0-1 loss trains on
+the exact LP when ``solver.exact_lp_fits`` admits it, else like other losses.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 import numpy as np
 
 from . import bounds as bounds_mod
-from .core import LOG, MAX_CLASSES_EXACT_LP, ZERO_ONE, Dataset, Loss
+from .core import LOG, ZERO_ONE, Dataset, Loss
 from .data_io import (
     InputError,
     load_dataset,
@@ -39,7 +40,7 @@ from .features import (
 from .marginals import train_adversarial01, train_logreg
 from .oracle import brute_force_max_entropy
 from .predictors import predict_probs, sample_labels
-from .solver import SolverConfig, train_mrc, train_zero_one_exact
+from .solver import SolverConfig, exact_lp_fits, train_mrc, train_zero_one_exact
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -77,21 +78,14 @@ def _parse_widths(text, fm):
         raise InputError(f"width policy {text!r}: {exc}") from exc
 
 
-def _train_one(loss, box, atoms, cfg, fm, solver):
-    if solver == "auto":
-        exact = loss == ZERO_ONE and fm.num_classes <= MAX_CLASSES_EXACT_LP
-        solver = "exact" if exact else "subgradient"
-    if solver == "exact":
-        if loss != ZERO_ONE:
-            raise InputError("the exact LP path applies to zero-one loss only")
+def _train_one(loss, box, atoms, cfg, fm):
+    if loss == ZERO_ONE and exact_lp_fits(atoms):
         return train_zero_one_exact(box, atoms, cfg, feature_map=fm)
     return train_mrc(loss, box, atoms, cfg, feature_map=fm)
 
 
 def _add_solver_flags(p):
-    p.add_argument("--solver", choices=("auto", "exact", "subgradient"), default="auto")
-    p.add_argument("--max-iters", type=int, default=20000)
-    p.add_argument("--step-c", type=float, default=0.3)
+    p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
     p.add_argument("--max-leaves", type=int, default=20)
 
 
@@ -105,14 +99,14 @@ def cmd_featurize(args):
 
 
 def cmd_train(args):
-    cfg = SolverConfig(max_iters=args.max_iters, c=args.step_c)
+    cfg = SolverConfig(max_iters=args.max_iters)
     data = load_dataset(args.data, args.classes)
     loss = Loss.from_spec(args.loss)
     fm = fit_thresholds(data, StumpSpec(args.max_leaves))
     widths, policy = _parse_widths(getattr(args, "lambda"), fm)
     box = estimate_expectations(fm, data, widths)
     atoms = constraint_atoms(fm, data)
-    model = _train_one(loss, box, atoms, cfg, fm, args.solver)
+    model = _train_one(loss, box, atoms, cfg, fm)
     upper = bounds_mod.upper_bound(model, box)
     stored = None
     print(f"upper_bound {upper!r}")
@@ -221,24 +215,20 @@ def _experiment_config(path):
     if not isinstance(cfg, dict):
         raise InputError(f"config {path} must hold a JSON object")
     required = {"dataset": str, "train_sizes": list, "repetitions": int, "test_size": int}
+    defaults = {"lambda": "0.25", "seed": 0, "max_leaves": 20, "methods": list(METHODS),
+                "max_iters": 4000}
+    unknown = sorted(set(cfg) - set(required) - set(defaults))
+    if unknown:
+        raise InputError(f"unknown config keys {unknown}; accepted: {[*required, *defaults]}")
     for key in required:
         if key not in cfg:
             raise InputError(f"config is missing {key!r}")
-    cfg.setdefault("lambda", "0.25")
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("max_leaves", 20)
-    cfg.setdefault("methods", list(METHODS))
-    cfg.setdefault("max_iters", 4000)
-    cfg.setdefault("step_c", 0.3)
-    kinds = {
-        **required, "lambda": str, "seed": int, "max_leaves": int, "max_iters": int,
-        "step_c": (int, float), "methods": list,
-    }
+    cfg = {**defaults, **cfg}
+    kinds = {**required, **{key: type(value) for key, value in defaults.items()}}
     for key, kind in kinds.items():
         # JSON true/false load as bool, a subclass of int
         if isinstance(cfg[key], bool) or not isinstance(cfg[key], kind):
-            name = "number" if kind == (int, float) else kind.__name__
-            raise InputError(f"config key {key!r} must be {name}")
+            raise InputError(f"config key {key!r} must be {kind.__name__}")
     if not all(type(n) is int and n > 0 for n in cfg["train_sizes"]):
         raise InputError("train_sizes must be positive integers")
     if cfg["repetitions"] < 1 or cfg["test_size"] < 1:
@@ -247,9 +237,9 @@ def _experiment_config(path):
     if bad:
         raise InputError(f"unknown methods {bad}; choose from {list(METHODS)}")
     try:
-        SolverConfig(max_iters=cfg["max_iters"], c=cfg["step_c"])
-    except (ValueError, OverflowError) as exc:
-        raise InputError(f"config keys 'max_iters' and 'step_c': {exc}") from exc
+        SolverConfig(max_iters=cfg["max_iters"])
+    except ValueError as exc:
+        raise InputError(f"config key 'max_iters': {exc}") from exc
     return cfg
 
 
@@ -306,13 +296,13 @@ def _run_cell(payload):
     widths, _ = _parse_widths(cfg["lambda"], fm)
     box = estimate_expectations(fm, train, widths)
     atoms = constraint_atoms(fm, train)
-    solver_cfg = SolverConfig(max_iters=cfg["max_iters"], c=cfg["step_c"])
+    solver_cfg = SolverConfig(max_iters=cfg["max_iters"])
 
     rows = []
     for method in cfg["methods"]:
         if method in ("mrc-zero-one", "mrc-log"):
             loss = ZERO_ONE if method == "mrc-zero-one" else LOG
-            model = _train_one(loss, box, atoms, solver_cfg, fm, "auto")
+            model = _train_one(loss, box, atoms, solver_cfg, fm)
             report = bounds_mod.bound_report(model, box, atoms)
             upper, lower = report.upper, report.lower
         else:
@@ -356,7 +346,7 @@ def cmd_experiment(args):
 
 
 def cmd_oracle(args):
-    cfg = SolverConfig(max_iters=args.max_iters, c=args.step_c)
+    cfg = SolverConfig(max_iters=args.max_iters)
     units = grid_units(args.grid_step)
     data = load_dataset(args.data, args.classes)
     loss = Loss.from_spec(args.loss)
@@ -373,7 +363,7 @@ def cmd_oracle(args):
     box = estimate_expectations(fm, data, widths)
     atoms = constraint_atoms(fm, data)
     value = brute_force_max_entropy(loss, fm, distinct, box, args.grid_step)
-    model = _train_one(loss, box, atoms, cfg, fm, args.solver)
+    model = _train_one(loss, box, atoms, cfg, fm)
     print(f"brute_force_max_entropy {value!r}")
     print(f"dual_objective {model.objective_value!r}")
     return EXIT_OK

@@ -35,8 +35,6 @@ __all__ = [
     "BoundReport",
 ]
 
-MAX_CLASSES_EXACT_LP = 12  # subset constraints grow as 2^K - 1
-
 
 def _frozen(a, dtype=np.float64):
     out = np.array(a, dtype=dtype)
@@ -55,6 +53,12 @@ def beta_of_alpha(alpha: float) -> float:
     if alpha <= 0.0 or alpha == 1.0:
         raise ValueError(f"alpha must be positive and != 1, got {alpha!r}")
     return alpha / (alpha - 1.0)
+
+
+def logsumexp(v):
+    """log sum_y exp(v_y) of each row of a 2-D array, shifted by the row's max."""
+    vmax = v.max(axis=1, keepdims=True)
+    return vmax[:, 0] + np.log(np.exp(v - vmax).sum(axis=1))
 
 
 def _xlogx(p):
@@ -205,9 +209,7 @@ class LogLoss(Loss):
 
     def rule_loss(self, scores, offset):
         """logsumexp(scores) - score, offset-free."""
-        vmax = scores.max(axis=1, keepdims=True)
-        lse = vmax + np.log(np.exp(scores - vmax).sum(axis=1, keepdims=True))
-        return lse - scores
+        return logsumexp(scores)[:, None] - scores
 
     def offset(self, scores):
         return solver.max_offset_log(scores)
@@ -220,10 +222,7 @@ class LogLoss(Loss):
         return -(vmax + np.log(total))[:, 0], e / total
 
     def residual(self, scores, offset):
-        shifted = scores + offset
-        vmax = shifted.max(axis=1)
-        lhs = vmax + np.log(np.exp(shifted - vmax[:, None]).sum(axis=1))
-        return float(lhs.max())
+        return float(logsumexp(scores + offset).max())
 
 
 @dataclass(frozen=True)

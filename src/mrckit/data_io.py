@@ -71,7 +71,7 @@ def _parse_numeric(path, header, body, columns):
 
 
 def load_dataset(path, num_classes=None) -> Dataset:
-    """Read a labeled CSV; class count defaults to the largest label seen."""
+    """Read a labeled CSV; the class count defaults to the largest label seen, at least 2."""
     header, body = _read_table(path)
     if "label" not in header:
         raise InputError(f"{path}: no 'label' column")
@@ -84,9 +84,9 @@ def load_dataset(path, num_classes=None) -> Dataset:
     labels = raw.astype(np.int64)
     if np.any(labels != raw):
         raise InputError(f"{path}: labels must be integers")
-    k = int(labels.max()) if num_classes is None else int(num_classes)
+    k = max(int(labels.max()), 2) if num_classes is None else int(num_classes)
     try:
-        return Dataset(instances=X, labels=labels, num_classes=max(k, 2))
+        return Dataset(instances=X, labels=labels, num_classes=k)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
 

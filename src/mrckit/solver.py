@@ -17,7 +17,7 @@ minimizes
 with q one-hot at the smallest offset for the box alone, or the pattern
 frequencies when the instances' marginal is pinned too, by subgradient
 descent (all losses) or, for the box with 0-1 loss, exactly via the
-subset-constraint LP.
+subset-constraint LP while its rows fit (``exact_lp_fits``).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    MAX_CLASSES_EXACT_LP,
     ZERO_ONE,
     AlphaLoss,
     ConstraintAtoms,
@@ -36,6 +35,7 @@ from .core import (
     Loss,
     MrcModel,
     label_blocks,
+    logsumexp,
 )
 from .simplex import OPTIMAL, solve_lp
 
@@ -50,6 +50,7 @@ __all__ = [
     "subgradient_minimize",
     "train_mrc",
     "solve_box_lp",
+    "exact_lp_fits",
     "train_zero_one_exact",
     "dual_feasibility_residual",
 ]
@@ -57,11 +58,12 @@ __all__ = [
 
 CONVERGENCE_TOL = 1e-6  # relative best-value gain over the trailing window
 _ONE = np.broadcast_to(1.0, 1)  # the nonzero entry of a one-hot q (read-only)
+MAX_EXACT_LP_ROWS = 4095  # 2^12 - 1: one pattern at 12 classes solves in 0.3 GB
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration budget and step scale c of the c/sqrt(t) subgradient steps."""
+    """Iteration budget and step scale c (API only) of the c/sqrt(t) subgradient steps."""
 
     max_iters: int = 20000
     c: float = 0.3
@@ -102,9 +104,7 @@ def max_offset_zero_one(values, return_support=False):
 
 def max_offset_log(values):
     """Largest offset with sum_y exp(v_y + o) <= 1, i.e. -logsumexp(values)."""
-    v = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    vmax = v.max(axis=1)
-    out = -(vmax + np.log(np.exp(v - vmax[:, None]).sum(axis=1)))
+    out = -logsumexp(np.atleast_2d(np.asarray(values, dtype=np.float64)))
     return out if np.asarray(values).ndim > 1 else float(out[0])
 
 
@@ -353,6 +353,16 @@ def solve_box_lp(box: ExpectationBox, rows, sizes, rhs, solve_lp):
     return res.x[:m] - res.x[m : 2 * m], res.value + shift
 
 
+def _exact_lp_rows(atoms: ConstraintAtoms) -> int:
+    return atoms.count * (2**atoms.num_classes - 1)  # patterns x nonempty label subsets
+
+
+def exact_lp_fits(atoms: ConstraintAtoms) -> bool:
+    """Whether ``train_zero_one_exact`` admits these atoms (its tableau grows
+    with the square of the rows)."""
+    return _exact_lp_rows(atoms) <= MAX_EXACT_LP_ROWS
+
+
 def train_zero_one_exact(
     box: ExpectationBox,
     atoms: ConstraintAtoms,
@@ -363,14 +373,14 @@ def train_zero_one_exact(
 
         sum_{y in S} f_j(y).w + |S| o <= 1 - |S|,
 
-    which linearizes the positive parts of the 0-1 dual constraint.  The row
-    count is r * (2^K - 1), so the class count is capped.
+    which linearizes the positive parts of the 0-1 dual constraint.  Raises
+    ValueError unless its r * (2^K - 1) rows fit (``exact_lp_fits``).
     """
-    K = atoms.num_classes
-    if K > MAX_CLASSES_EXACT_LP:
+    if not exact_lp_fits(atoms):
         raise ValueError(
-            f"exact LP path supports at most {MAX_CLASSES_EXACT_LP} classes, got {K}"
+            f"exact LP of {_exact_lp_rows(atoms)} rows exceeds its cap of {MAX_EXACT_LP_ROWS}"
         )
+    K = atoms.num_classes
     m = atoms.dim
     # row s - 1 marks the labels of subset s, bit y of s standing for label y
     masks = ((np.arange(1, 2**K)[:, None] >> np.arange(K)) & 1).astype(np.float64)

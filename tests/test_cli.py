@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from mrckit.cli import main
+from mrckit.core import Dataset
 from mrckit.data_io import load_model, save_dataset
 from mrckit.datasets import two_class_demo_joint
 
@@ -196,8 +197,7 @@ def test_schema_mismatch_exits_2(demo_csv, tmp_path):
 def test_strict_nonconvergence_exits_3(demo_csv, tmp_path):
     train, _ = demo_csv
     code = run(
-        ["train", "--data", train, "--loss", "log", "--strict",
-         "--solver", "subgradient", "--max-iters", "40", "--step-c", "5.0"]
+        ["train", "--data", train, "--loss", "log", "--strict", "--max-iters", "40"]
     )
     assert code == 3
 
@@ -238,7 +238,8 @@ def test_experiment_rejects_bad_config(tmp_path):
 @pytest.mark.parametrize(
     "key, value",
     [("lambda", 0.25), ("max_leaves", "20"), ("step_c", "x"), ("max_iters", 2.5), ("seed", True),
-     ("methods", 5), ("train_sizes", [True]), ("step_c", 0), ("step_c", -1), ("step_c", 1e400)],
+     ("methods", 5), ("train_sizes", [True]), ("step_c", 0), ("step_c", -1), ("step_c", 1e400),
+     ("max_iter", 5)],
 )
 def test_experiment_rejects_mistyped_config(demo_csv, tmp_path, capsys, key, value):
     train, _ = demo_csv
@@ -250,14 +251,27 @@ def test_experiment_rejects_mistyped_config(demo_csv, tmp_path, capsys, key, val
     assert key in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("step_c", ["nan", "-1", "0", "inf"])
-def test_train_rejects_bad_step_scale(demo_csv, tmp_path, capsys, step_c):
+@pytest.mark.parametrize("flag", [["--solver", "exact"], ["--step-c", "0.3"]])
+@pytest.mark.parametrize("command", ["train", "oracle"])
+def test_solver_choice_and_step_scale_are_not_options(demo_csv, capsys, command, flag):
     train, _ = demo_csv
-    model_path = tmp_path / "m.json"
-    assert run(["train", "--data", train, "--loss", "log", "--step-c", step_c,
-                "--max-iters", "50", "--out", str(model_path)]) == 2
-    assert "upper_bound" not in capsys.readouterr().out
-    assert not model_path.exists()
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--data", train, "--loss", "zero-one", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("classes", ["1", "0", "-3"])
+@pytest.mark.parametrize("command", ["featurize", "train"])
+def test_class_count_below_two_exits_2(demo_csv, tmp_path, capsys, command, classes):
+    train, _ = demo_csv
+    out = tmp_path / "out.json"
+    argv = [command, "--data", train, "--classes", classes, "--out", str(out)]
+    if command == "train":
+        argv += ["--loss", "zero-one"]
+    assert run(argv) == 2
+    assert "num_classes" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -380,26 +394,31 @@ def test_oracle_subcommand(tmp_path, capsys):
 ORACLE_AS_CAP = 1 << 30
 
 
-def _oracle_in_child(path, step):
+def _cli_in_child(argv, as_cap, timeout):
+    """``mrckit argv`` in a child process whose address space is capped at ``as_cap``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     env["OPENBLAS_NUM_THREADS"] = "1"
     code = (
         "import resource, sys\n"
-        f"resource.setrlimit(resource.RLIMIT_AS, ({ORACLE_AS_CAP}, {ORACLE_AS_CAP}))\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({as_cap}, {as_cap}))\n"
         "from mrckit.cli import main\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
-    argv = ["oracle", "--data", str(path), "--loss", "zero-one", "--lambda", "0.3"]
-    if step is not None:
-        argv += ["--grid-step", step]
     try:
         return subprocess.run(
             [sys.executable, "-c", code, *argv], cwd=ROOT, env=env, capture_output=True,
-            text=True, timeout=120,
+            text=True, timeout=timeout,
         )
     except subprocess.TimeoutExpired:
-        raise AssertionError(f"oracle at grid step {step} did not finish within 120 s") from None
+        raise AssertionError(f"mrckit {' '.join(argv)} did not finish within {timeout} s") from None
+
+
+def _oracle_in_child(path, step):
+    argv = ["oracle", "--data", str(path), "--loss", "zero-one", "--lambda", "0.3"]
+    if step is not None:
+        argv += ["--grid-step", step]
+    return _cli_in_child(argv, ORACLE_AS_CAP, 120)
 
 
 @pytest.mark.parametrize(
@@ -433,3 +452,42 @@ def test_bounds_on_model_with_infeasible_offset_exits_2(demo_csv, tmp_path, caps
     capsys.readouterr()
     assert run(["bounds", "--model", str(model_path), "--data", train]) == 2
     assert "residual" in capsys.readouterr().err
+
+
+def twelve_class_table():
+    """1200 rows, one feature uniform on 0..11, label = feature + 1 with
+    probability 0.8 (else uniform): 12 patterns, so an exact 0-1 LP of
+    12 * (2^12 - 1) = 49 140 rows, whose dense tableau would take 18 GiB."""
+    rng = np.random.default_rng(0)
+    x = rng.integers(0, 12, 1200)
+    labels = np.where(rng.random(1200) < 0.8, x + 1, rng.integers(1, 13, 1200))
+    return Dataset(instances=x[:, None].astype(np.float64), labels=labels, num_classes=12)
+
+
+def test_zero_one_trains_by_subgradient_when_the_exact_lp_is_too_large(tmp_path):
+    path = tmp_path / "twelve.csv"
+    save_dataset(twelve_class_table(), path)
+    done = _cli_in_child(["train", "--data", str(path), "--loss", "zero-one"], 2 << 30, 60)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout.startswith("upper_bound ")
+
+
+def test_exact_lp_refuses_before_building_rows(monkeypatch):
+    from mrckit import solver
+    from mrckit.features import StumpSpec, constraint_atoms, estimate_expectations, fit_thresholds
+
+    data = twelve_class_table()
+    fm = fit_thresholds(data, StumpSpec(20))
+    atoms = constraint_atoms(fm, data)
+    assert (atoms.count, fm.dim) == (12, 144)
+    box = estimate_expectations(fm, data, np.full(fm.dim, 0.25))
+
+    def called(*args, **kwargs):
+        raise AssertionError("the exact LP was built")
+
+    monkeypatch.setattr(solver, "solve_lp", called)
+    monkeypatch.setattr(solver, "label_blocks", called)
+    assert not solver.exact_lp_fits(atoms)
+    with pytest.raises(ValueError, match="49140 rows exceeds its cap of 4095"):
+        solver.train_zero_one_exact(box, atoms)

@@ -85,6 +85,15 @@ def test_load_rejects_fractional_labels(tmp_path):
         load_dataset(path)
 
 
+def test_load_class_count_floor_applies_only_when_inferred(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("f1,label\n0.0,1\n1.0,1\n")
+    assert load_dataset(path).num_classes == 2
+    for k in (1, 0, -3):
+        with pytest.raises(InputError):
+            load_dataset(path, k)
+
+
 def test_load_instances_ignores_label(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("f1,label,f2\n1.0,1,2.0\n3.0,2,4.0\n")

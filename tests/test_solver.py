@@ -13,9 +13,11 @@ from mrckit.core import (
     beta_of_alpha,
 )
 from mrckit.solver import (
+    MAX_EXACT_LP_ROWS,
     ReducedObjective,
     SolverConfig,
     dual_feasibility_residual,
+    exact_lp_fits,
     max_offset_alpha,
     max_offset_log,
     max_offset_zero_one,
@@ -279,6 +281,16 @@ def test_exact_lp_rejects_many_classes():
     box = ExpectationBox(np.full(13, 1 / 13), np.zeros(13), 4)
     with pytest.raises(ValueError):
         train_zero_one_exact(box, atoms)
+
+
+def test_exact_lp_admits_up_to_its_row_cap():
+    # one pattern at 12 classes is 2^12 - 1 = 4095 rows, exactly the cap
+    assert MAX_EXACT_LP_ROWS == 4095
+    assert exact_lp_fits(ConstraintAtoms(patterns=np.ones((1, 1)), num_classes=12))
+    assert not exact_lp_fits(ConstraintAtoms(patterns=np.ones((2, 1)), num_classes=12))
+    assert not exact_lp_fits(ConstraintAtoms(patterns=np.ones((1, 1)), num_classes=13))
+    assert exact_lp_fits(ConstraintAtoms(patterns=np.ones((1365, 1)), num_classes=2))
+    assert not exact_lp_fits(ConstraintAtoms(patterns=np.ones((1366, 1)), num_classes=2))
 
 
 @pytest.mark.parametrize("loss", [ZO, LG, AlphaLoss(2.0), AlphaLoss(0.5)])
