@@ -61,6 +61,14 @@ def logsumexp(v):
     return vmax[:, 0] + np.log(np.exp(v - vmax).sum(axis=1))
 
 
+def alpha_masses(bases, beta):
+    """Alpha-loss masses t_+^beta of the bases t = (score + offset)/beta + 1;
+    +inf where beta < 0 clamps."""
+    if beta > 0:
+        return np.maximum(bases, 0.0) ** beta
+    return np.where(bases > 0.0, np.maximum(bases, 1e-300) ** beta, np.inf)
+
+
 def _xlogx(p):
     """p log p elementwise, with 0 log 0 = 0."""
     out = np.zeros_like(p)
@@ -256,13 +264,11 @@ class AlphaLoss(Loss):
         """((score + offset)/beta + 1)_+^beta; +inf where beta < 0 clamps.
 
         The dual constraint is that each row of these sums to at most 1; the
-        offset search, the residual and the rule all read it from here.
+        residual and the rule read it from here, the offset search (which has
+        the bases already) from ``alpha_masses``.
         """
         beta = self.beta
-        t = (scores + offset) / beta + 1.0
-        if beta > 0:
-            return np.maximum(t, 0.0) ** beta
-        return np.where(t > 0.0, np.maximum(t, 1e-300) ** beta, np.inf)
+        return alpha_masses((scores + offset) / beta + 1.0, beta)
 
     def rule(self, scores, offset):
         """Base masses ((score + offset)/beta + 1)_+^beta with slack spread uniformly.
@@ -294,12 +300,12 @@ class AlphaLoss(Loss):
         return solver.max_offset_alpha(scores, self.alpha)
 
     def active_label_weights(self, scores):
-        """Normalized derivatives ((score + offset)/beta + 1)_+^(beta-1)."""
-        offsets = self.offset(scores)
-        beta = self.beta
-        t = np.maximum((scores + offsets[:, None]) / beta + 1.0, 0.0)
+        """Normalized derivatives ((score + offset)/beta + 1)_+^(beta-1), from
+        the bases at which the offset search confirmed feasibility."""
+        offsets, bases = solver.max_offset_alpha(scores, self.alpha, return_bases=True)
+        t = np.maximum(bases, 0.0)
         with np.errstate(divide="ignore"):  # 0^(beta-1) for beta < 0, masked out
-            weights = np.where(t > 0.0, t ** (beta - 1.0), 0.0)
+            weights = np.where(t > 0.0, t ** (self.beta - 1.0), 0.0)
         return offsets, weights / weights.sum(axis=1, keepdims=True)
 
     def residual(self, scores, offset):

@@ -29,11 +29,12 @@ import numpy as np
 
 from .core import (
     ZERO_ONE,
-    AlphaLoss,
     ConstraintAtoms,
     ExpectationBox,
     Loss,
     MrcModel,
+    alpha_masses,
+    beta_of_alpha,
     label_blocks,
     logsumexp,
 )
@@ -58,7 +59,7 @@ __all__ = [
 
 CONVERGENCE_TOL = 1e-6  # relative best-value gain over the trailing window
 _ONE = np.broadcast_to(1.0, 1)  # the nonzero entry of a one-hot q (read-only)
-MAX_EXACT_LP_ROWS = 4095  # 2^12 - 1: one pattern at 12 classes solves in 0.3 GB
+MAX_EXACT_LP_ROWS = 4095  # 2^12 - 1: one pattern at 12 classes peaks at 4-11 MB (dim 12-48)
 
 
 @dataclass(frozen=True)
@@ -146,21 +147,23 @@ def _newton_root(u, d, lo, hi, beta):
     return d
 
 
-def _round_down_to_feasible(loss, values, offsets, scale):
+def _round_down_to_feasible(values, offsets, beta, scale):
     """Each offset stepped down until its row's constraint holds in floating
     point: first to the next float below, then 1, 4, 16, ... units of
-    eps * (scale + |offset|) below, ``scale`` bounding the terms it came from."""
+    eps * (scale + |offset|) below, ``scale`` bounding the terms it came from.
+    Returns the offsets and the bases (values + offset)/beta + 1 at them."""
     trial = np.nextafter(offsets, -np.inf)
     unit = np.finfo(np.float64).eps * (scale + np.abs(offsets))
     for n in range(32):
-        over = loss.base_masses(values, trial[:, None]).sum(axis=1) > 1.0
+        bases = (values + trial[:, None]) / beta + 1.0
+        over = alpha_masses(bases, beta).sum(axis=1) > 1.0
         if not over.any():
-            return trial
+            return trial, bases
         trial = np.where(over, offsets - unit * 4.0**n, trial)
     raise RuntimeError("alpha offset did not reach the feasible side")
 
 
-def max_offset_alpha(values, alpha):
+def max_offset_alpha(values, alpha, return_bases=False):
     """Largest offset o with sum_y ((v_y + o)/beta + 1)_+^beta <= 1, rows of ``values``.
 
     With the top score v_1 and u_y = (v_y - v_1)/beta, the offset is
@@ -180,10 +183,10 @@ def max_offset_alpha(values, alpha):
     relative step and never exceed a fixed count.  The result is then
     stepped down until the constraint holds in floating point, so it is
     feasible.  Raises ValueError naming alpha when the offset overflows
-    float64 (alpha close to 0).
+    float64 (alpha close to 0).  With ``return_bases`` also returns the
+    bases (v_y + o)/beta + 1 at the returned offsets.
     """
-    loss = AlphaLoss(alpha)
-    beta = loss.beta
+    beta = beta_of_alpha(alpha)
     v = np.atleast_2d(np.asarray(values, dtype=np.float64))
     K = v.shape[1]
     top = v.max(axis=1)
@@ -208,8 +211,12 @@ def max_offset_alpha(values, alpha):
             )
         lo = np.maximum(1.0, hi - u.mean(axis=1))
         d = _newton_root(u, lo, lo, hi, beta)
-    out = _round_down_to_feasible(loss, v, beta * (d - 1.0) - top, abs(beta) + np.abs(top))
-    return out if np.asarray(values).ndim > 1 else float(out[0])
+    out, bases = _round_down_to_feasible(
+        v, beta * (d - 1.0) - top, beta, abs(beta) + np.abs(top)
+    )
+    if np.asarray(values).ndim == 1:
+        out, bases = float(out[0]), bases[0]
+    return (out, bases) if return_bases else out
 
 
 def dual_value(weights, half_width, midpoint, offset) -> float:
@@ -358,8 +365,8 @@ def _exact_lp_rows(atoms: ConstraintAtoms) -> int:
 
 
 def exact_lp_fits(atoms: ConstraintAtoms) -> bool:
-    """Whether ``train_zero_one_exact`` admits these atoms (its tableau grows
-    with the square of the rows)."""
+    """Whether ``train_zero_one_exact`` admits these atoms: its rows, and with
+    them the tableau and the pivot count, grow as 2^K in the classes."""
     return _exact_lp_rows(atoms) <= MAX_EXACT_LP_ROWS
 
 

@@ -35,8 +35,10 @@ def reference_offset(v, alpha):
     vmax = float(v.max())
     if beta > 0:
         lo = -vmax - beta
-    else:  # every base is at least k^(1/|beta|), so every mass at most 1/k
-        lo = -vmax - abs(beta) * k ** (1.0 / abs(beta))
+    else:  # every base is at least 2 k^(1/|beta|), so every mass below 1/k;
+        # at k^(1/|beta|) equal scores put the root on the bracket's end,
+        # where rounding can leave the constraint on either side of 1
+        lo = -vmax - 2.0 * abs(beta) * k ** (1.0 / abs(beta))
     return brentq(
         lambda o: constraint(v, o, beta) - 1.0, lo, -vmax,
         xtol=1e-13, rtol=4 * np.finfo(float).eps, maxiter=1000,
@@ -60,6 +62,7 @@ def score_rows(draw):
 @example(alpha=2.0, v=np.zeros(3))
 @example(alpha=0.05, v=np.full(12, 1e-3))
 @example(alpha=1.0001, v=np.array([0.0, -28.5]))  # offset rounds to 0.0 before the root
+@example(alpha=0.055834204247675025, v=np.zeros(11))  # root at k^(1/|beta|) bases
 def test_offset_alpha_matches_independent_root(alpha, v):
     beta = beta_of_alpha(alpha)
     got = max_offset_alpha(v, alpha)

@@ -457,7 +457,7 @@ def test_bounds_on_model_with_infeasible_offset_exits_2(demo_csv, tmp_path, caps
 def twelve_class_table():
     """1200 rows, one feature uniform on 0..11, label = feature + 1 with
     probability 0.8 (else uniform): 12 patterns, so an exact 0-1 LP of
-    12 * (2^12 - 1) = 49 140 rows, whose dense tableau would take 18 GiB."""
+    12 * (2^12 - 1) = 49 140 rows, twelve times the exact LP's row cap."""
     rng = np.random.default_rng(0)
     x = rng.integers(0, 12, 1200)
     labels = np.where(rng.random(1200) < 0.8, x + 1, rng.integers(1, 13, 1200))

@@ -134,3 +134,8 @@ def test_active_label_weights_carry_the_offsets_exactly(loss):
     np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
     if isinstance(loss, LogLoss):  # one exponential serves both: the softmax, bit for bit
         assert np.array_equal(weights, loss.rule(scores, None))
+    if isinstance(loss, AlphaLoss):  # the offset search's own bases, bit for bit
+        t = np.maximum((scores + offsets[:, None]) / loss.beta + 1.0, 0.0)
+        with np.errstate(divide="ignore"):
+            expected = np.where(t > 0.0, t ** (loss.beta - 1.0), 0.0)
+        assert np.array_equal(weights, expected / expected.sum(axis=1, keepdims=True))
