@@ -125,8 +125,12 @@ class Loss:
 
         Returns (offsets, weights): weights[j] is a distribution over labels
         such that the pattern of row j written into each label block with
-        these weights is a subgradient of -offset_j.  One pass yields both,
-        since the offset computation finds the active labels anyway.
+        these weights is a subgradient of -offset_j.  ``ReducedDual.evaluate``
+        makes one such call per objective evaluation, and one pass over the
+        scores yields both, since the offset computation finds the active
+        labels anyway: 0-1 from its sorted prefix, log from one exponential,
+        alpha from the bases at which the offset's rounding confirmed
+        feasibility.
         """
         raise TypeError(f"no dual offset for loss {self!r}")
 
@@ -184,12 +188,12 @@ class ZeroOneLoss(Loss):
         return solver.max_offset_zero_one(scores)
 
     def active_label_weights(self, scores):
-        """Uniform weights on each row's minimizing label subset."""
+        """Uniform weights on each row's minimizing label subset: the labels
+        whose place in the sorted order (the inverse permutation) is below
+        the subset's size."""
         offsets, order, size = solver.max_offset_zero_one(scores, return_support=True)
-        in_subset = np.arange(scores.shape[1]) < size[:, None]  # in sorted order
-        weights = np.zeros_like(scores)
-        weights[np.arange(scores.shape[0])[:, None], order] = in_subset / size[:, None]
-        return offsets, weights
+        place = order.argsort(axis=1)
+        return offsets, (place < size[:, None]) / size[:, None]
 
     def residual(self, scores, offset):
         lhs = np.clip(scores + offset + 1.0, 0.0, None).sum(axis=1)
@@ -246,8 +250,9 @@ class AlphaLoss(Loss):
     def __post_init__(self):
         beta_of_alpha(self.alpha)  # validates
 
-    @property
+    @cached_property
     def beta(self) -> float:
+        """alpha/(alpha-1), validated and computed once per loss."""
         return beta_of_alpha(self.alpha)
 
     def loss_table(self, probs):
@@ -301,11 +306,12 @@ class AlphaLoss(Loss):
 
     def active_label_weights(self, scores):
         """Normalized derivatives ((score + offset)/beta + 1)_+^(beta-1), from
-        the bases at which the offset search confirmed feasibility."""
+        the bases at which the offset search confirmed feasibility.  No zero
+        base meets a negative power: beta - 1 > 0 when beta > 1, and when
+        beta < 0 every mass of a feasible row is at most 1, so every base is
+        about 1 or more."""
         offsets, bases = solver.max_offset_alpha(scores, self.alpha, return_bases=True)
-        t = np.maximum(bases, 0.0)
-        with np.errstate(divide="ignore"):  # 0^(beta-1) for beta < 0, masked out
-            weights = np.where(t > 0.0, t ** (self.beta - 1.0), 0.0)
+        weights = np.maximum(bases, 0.0) ** (self.beta - 1.0)
         return offsets, weights / weights.sum(axis=1, keepdims=True)
 
     def residual(self, scores, offset):

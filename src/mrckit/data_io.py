@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 
 import numpy as np
 
@@ -149,6 +150,9 @@ def load_model(path):
         raise InputError(f"{path}: a model file holds a JSON object")
     if obj.get("format_version") != FORMAT_VERSION:
         raise InputError(f"{path}: unsupported format_version {obj.get('format_version')!r}")
+    converged = obj.get("converged", True)
+    if not isinstance(converged, bool):  # bool("false") is True
+        raise InputError(f"{path}: converged must be true or false, not {converged!r}")
     try:
         fm = FeatureMap(
             num_classes=int(obj["num_classes"]),
@@ -161,7 +165,7 @@ def load_model(path):
             objective_value=float(obj["objective_value"]),
             num_classes=int(obj["num_classes"]),
             feature_map=fm,
-            converged=bool(obj.get("converged", True)),
+            converged=converged,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed model file ({exc})") from exc
@@ -173,6 +177,8 @@ def load_model(path):
     params = model.weights if model.offset is None else np.append(model.weights, model.offset)
     if not np.all(np.isfinite(params)):
         raise InputError(f"{path}: non-finite mu or nu in model file")
+    if not math.isfinite(model.objective_value):
+        raise InputError(f"{path}: non-finite objective_value in model file")
     bounds = obj.get("bounds")
     if bounds is not None and not (
         isinstance(bounds, dict)

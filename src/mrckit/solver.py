@@ -58,7 +58,6 @@ __all__ = [
 
 
 CONVERGENCE_TOL = 1e-6  # relative best-value gain over the trailing window
-_ONE = np.broadcast_to(1.0, 1)  # the nonzero entry of a one-hot q (read-only)
 MAX_EXACT_LP_ROWS = 4095  # 2^12 - 1: one pattern at 12 classes peaks at 4-11 MB (dim 12-48)
 
 
@@ -88,11 +87,11 @@ def max_offset_zero_one(values, return_support=False):
     values = np.asarray(values, dtype=np.float64)
     v = values if values.ndim > 1 else values[None]
     rows = np.arange(v.shape[0])
-    order = np.argsort(-v, axis=1, kind="stable")
+    order = (-v).argsort(axis=1, kind="stable")
     sv = v[rows[:, None], order]
-    k = np.arange(1, v.shape[1] + 1, dtype=np.float64)
-    cand = (1.0 - np.cumsum(sv, axis=1) - k) / k
-    kstar = np.argmin(cand, axis=1)
+    k = np.arange(1.0, v.shape[1] + 1.0)
+    cand = (1.0 - sv.cumsum(axis=1) - k) / k
+    kstar = cand.argmin(axis=1)
     offsets = cand[rows, kstar]
     if values.ndim == 1:
         if return_support:
@@ -112,21 +111,22 @@ def max_offset_log(values):
 _NEWTON_STEPS = 100  # cap per call; a row stops once its step is below _NEWTON_RTOL of d
 _NEWTON_RTOL = 1e-14
 _GAP_BLOCK = 1 << 18  # pairwise label gaps held at once: 2 MB of float64
+_EPS = np.finfo(np.float64).eps
 
 
 def _active_labels(u, beta):
     """Labels whose breakpoint d = -u_j lies at or below the root, for beta > 1:
     those where the constraint sum_i (u_i - u_j)_+^beta is still <= 1.  A gap
     above 1 already puts a breakpoint past the root, so gaps are capped at 1
-    (no overflow at huge beta) and such labels masked out.  Rows go in blocks
-    so that the (rows, K, K) gaps stay small whatever the batch size."""
-    out = np.empty(u.shape, dtype=bool)
+    (no overflow at huge beta) and such labels masked out.  A batch whose
+    (rows, K, K) gaps would exceed 2 MB goes in blocks of rows, so that they
+    stay small whatever the batch size."""
     step = max(1, _GAP_BLOCK // u.shape[1] ** 2)
-    for a in range(0, len(u), step):
-        b = u[a : a + step]
-        gaps = np.minimum(np.maximum(b[:, :, None] - b[:, None, :], 0.0), 1.0)
-        out[a : a + step] = ((gaps**beta).sum(axis=1) <= 1.0) & (b >= -1.0)
-    return out
+    if len(u) > step:
+        blocks = [_active_labels(u[a : a + step], beta) for a in range(0, len(u), step)]
+        return np.concatenate(blocks)
+    gaps = np.minimum(np.maximum(u[:, :, None] - u[:, None, :], 0.0), 1.0)
+    return ((gaps**beta).sum(axis=1) <= 1.0) & (u >= -1.0)
 
 
 def _newton_root(u, d, lo, hi, beta):
@@ -149,12 +149,15 @@ def _newton_root(u, d, lo, hi, beta):
 
 def _round_down_to_feasible(values, offsets, beta, scale):
     """Each offset stepped down until its row's constraint holds in floating
-    point: first to the next float below, then 1, 4, 16, ... units of
-    eps * (scale + |offset|) below, ``scale`` bounding the terms it came from.
-    Returns the offsets and the bases (values + offset)/beta + 1 at them."""
-    trial = np.nextafter(offsets, -np.inf)
-    unit = np.finfo(np.float64).eps * (scale + np.abs(offsets))
-    for n in range(32):
+    point: 1, 4, 16, ... units of eps * (scale + |offset|) below, ``scale``
+    bounding the terms it came from.  The offsets come in within rounding of
+    the root, so one unit below nearly always holds and a single pass over
+    the batch confirms it; a row that still fails steps further alone, so
+    no row depends on the others.  Returns the offsets and the bases
+    (values + offset)/beta + 1 at which the constraint held."""
+    unit = _EPS * (scale + np.abs(offsets))
+    trial = offsets - unit
+    for n in range(1, 33):
         bases = (values + trial[:, None]) / beta + 1.0
         over = alpha_masses(bases, beta).sum(axis=1) > 1.0
         if not over.any():
@@ -181,14 +184,16 @@ def max_offset_alpha(values, alpha, return_bases=False):
     [max(1, K^(1/|beta|) - mean u), K^(1/|beta|)]; Newton steps run from the
     left end.  Either way they approach the root monotonically, stop on a
     relative step and never exceed a fixed count.  The result is then
-    stepped down until the constraint holds in floating point, so it is
-    feasible.  Raises ValueError naming alpha when the offset overflows
-    float64 (alpha close to 0).  With ``return_bases`` also returns the
-    bases (v_y + o)/beta + 1 at the returned offsets.
+    rounded down in one pass over the batch, to one unit
+    eps (|beta| + |v_1| + |o|) below (further only on the rare row where
+    that still fails), so it is feasible in floating point.  Alpha is
+    validated once, here.  Raises ValueError naming alpha when the offset
+    overflows float64 (alpha close to 0).  With ``return_bases`` also
+    returns the bases (v_y + o)/beta + 1 at the returned offsets.
     """
     beta = beta_of_alpha(alpha)
-    v = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    K = v.shape[1]
+    values = np.asarray(values, dtype=np.float64)
+    v = values if values.ndim > 1 else values[None]
     top = v.max(axis=1)
     u = (v - top[:, None]) / beta  # <= 0 for beta > 1, >= 0 for beta < 0
     if beta > 0:
@@ -202,19 +207,20 @@ def max_offset_alpha(values, alpha, return_bases=False):
             hi = np.where(active, 1.0, np.minimum(-u, 1.0)).min(axis=1)  # min(-u_{k+1}, 1)
             d = _newton_root(u, hi, lo, hi, beta)
     else:
-        with np.errstate(over="ignore"):
-            hi = np.float64(K) ** (-1.0 / beta)
-        if not math.isfinite(hi):
+        K = v.shape[1]
+        try:
+            hi = float(K) ** (-1.0 / beta)
+        except OverflowError:
             raise ValueError(
                 f"alpha {alpha!r} is too close to 0 for {K} labels: "
                 "the dual offset overflows float64"
-            )
+            ) from None
         lo = np.maximum(1.0, hi - u.mean(axis=1))
         d = _newton_root(u, lo, lo, hi, beta)
     out, bases = _round_down_to_feasible(
         v, beta * (d - 1.0) - top, beta, abs(beta) + np.abs(top)
     )
-    if np.asarray(values).ndim == 1:
+    if values.ndim == 1:
         out, bases = float(out[0]), bases[0]
     return (out, bases) if return_bases else out
 
@@ -243,19 +249,25 @@ class ReducedDual:
             raise ValueError(f"dual dimension {len(self.midpoint)} != atoms {self.atoms.dim}")
 
     def evaluate(self, weights):
-        """Value, one subgradient and the per-pattern offsets at ``weights``."""
+        """Value, one subgradient and the per-pattern offsets at ``weights``.
+
+        One ``active_label_weights`` call gives the offsets and their label
+        weights.  The box keeps the smallest offset, and d(-offset)/dw is its
+        pattern written into each label block with its label weights: one
+        outer product.  A pinned marginal q sums every pattern's, scaled by
+        its q, in one product of the transposed weights with the patterns.
+        """
         w = np.asarray(weights, dtype=np.float64)
         offsets, label_weights = self.loss.active_label_weights(self.atoms.scores(w))
-        if self.marginal is None:  # q one-hot: sum over its one nonzero row only
-            j = int(np.argmin(offsets))
-            rows, q = slice(j, j + 1), _ONE
+        if self.marginal is None:
+            j = offsets.argmin()
+            offset = offsets[j]
+            grad_offset = label_weights[j][:, None] * self.atoms.patterns[j]
         else:
-            rows, q = slice(None), self.marginal
-        # d(-q.offsets)/dw: each pattern scattered into each label block with
-        # its label weights, scaled by its q
-        grad_offset = ((label_weights[rows].T * q) @ self.atoms.patterns[rows]).ravel()
-        value = dual_value(w, self.half_width, self.midpoint, q @ offsets[rows])
-        return value, self.half_width * np.sign(w) - self.midpoint + grad_offset, offsets
+            offset = self.marginal @ offsets
+            grad_offset = (label_weights.T * self.marginal) @ self.atoms.patterns
+        value = dual_value(w, self.half_width, self.midpoint, offset)
+        return value, self.half_width * np.sign(w) - self.midpoint + grad_offset.ravel(), offsets
 
     def model(self, weights, feature_map=None, converged=True) -> MrcModel:
         """The trained model at ``weights``: the box's carries the smallest

@@ -9,10 +9,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
-from mrckit.core import beta_of_alpha
+from mrckit.core import AlphaLoss, beta_of_alpha
 from mrckit.solver import max_offset_alpha
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,7 +28,7 @@ def constraint(v, o, beta):
     return float((t**beta).sum()) if np.all(t > 0.0) else math.inf
 
 
-def reference_offset(v, alpha):
+def reference_offset(v, alpha, xtol=1e-13):
     """brentq on the monotone constraint, bracketed where it is 0 (or at most
     1) and where the top label alone reaches 1."""
     beta = beta_of_alpha(alpha)
@@ -41,7 +42,7 @@ def reference_offset(v, alpha):
         lo = -vmax - 2.0 * abs(beta) * k ** (1.0 / abs(beta))
     return brentq(
         lambda o: constraint(v, o, beta) - 1.0, lo, -vmax,
-        xtol=1e-13, rtol=4 * np.finfo(float).eps, maxiter=1000,
+        xtol=xtol, rtol=4 * np.finfo(float).eps, maxiter=1000,
     )
 
 
@@ -83,6 +84,29 @@ def test_offset_alpha_of_a_row_does_not_depend_on_the_batch():
     for alpha in (2.0, 4.0, 0.5):
         parts = [max_offset_alpha(v[i : i + 500], alpha) for i in range(0, len(v), 500)]
         np.testing.assert_array_equal(max_offset_alpha(v, alpha), np.concatenate(parts))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0, 4.0, 1e3])
+@pytest.mark.parametrize("rows", [20, 2000])
+def test_offsets_round_down_to_just_below_the_root(alpha, rows):
+    """Every row of a batch ends feasible in floating point, and at most a few
+    units eps (|beta| + |v_max| + |o|) below brentq's root: 8 allows 4 for
+    the offset's own rounding and 4 for brentq's, which bounds how far above
+    the root it may read too."""
+    beta = beta_of_alpha(alpha)
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng([rows, int(alpha * 10)])
+    for k in range(2, 9):
+        v = rng.normal(scale=rng.uniform(0.01, 5.0, size=(rows, 1)), size=(rows, k))
+        v[::3, 1] = v[::3, 0]  # ties at the top
+        got, bases = max_offset_alpha(v, alpha, return_bases=True)
+        np.testing.assert_array_equal(bases, (v + got[:, None]) / beta + 1.0)
+        assert np.all(AlphaLoss(alpha).base_masses(v, got[:, None]).sum(axis=1) <= 1.0)
+        vmax = v.max(axis=1)
+        unit = eps * (abs(beta) + np.abs(vmax) + np.abs(got))
+        for i in range(rows):
+            root = reference_offset(v[i], alpha, xtol=eps * (abs(beta) + abs(vmax[i])))
+            assert -4.0 * unit[i] <= root - got[i] <= 8.0 * unit[i], (k, i, (root - got[i]) / unit[i])
 
 
 def _run(argv):

@@ -347,6 +347,20 @@ def test_predict_rejects_nan_model_exits_2(demo_csv, tmp_path):
                 "--out", str(tmp_path / "p.csv")]) == 2
 
 
+@pytest.mark.parametrize(
+    "key, text", [("converged", '"false"'), ("objective_value", "NaN")], ids=["converged", "objective"]
+)
+def test_hand_edited_model_file_exits_2(demo_csv, tmp_path, capsys, key, text):
+    train, test = demo_csv
+    model_path = tmp_path / "m.json"
+    assert run(["train", "--data", train, "--loss", "log", "--max-iters", "50",
+                "--out", str(model_path)]) == 0
+    obj = {**json.loads(model_path.read_text()), key: "@"}
+    model_path.write_text(json.dumps(obj).replace('"@"', text))
+    assert run(["eval", "--model", str(model_path), "--data", test]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_alpha_model_with_infeasible_offset_predicts(demo_csv, tmp_path, capsys):
     # an offset above every pattern's feasible one: each row takes its own
     train, test = demo_csv

@@ -149,7 +149,7 @@ def test_load_model_rejects_bad_version(tmp_path):
         load_model(path)
 
 
-@pytest.mark.parametrize("key, index", [("mu", 0), ("mu", 3), ("nu", None)])
+@pytest.mark.parametrize("key, index", [("mu", 0), ("mu", 3), ("nu", None), ("objective_value", None)])
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
 def test_load_model_rejects_non_finite_parameters(tmp_path, key, index, value):
     path = tmp_path / "m.json"
@@ -178,9 +178,13 @@ def test_load_model_rejects_non_finite_parameters(tmp_path, key, index, value):
         lambda obj: {**obj, "variant": "box"},
         lambda obj: {k: v for k, v in obj.items() if k != "nu"},
         lambda obj: {**obj, "variant": "instance-marginal"},
+        lambda obj: {**obj, "converged": "false"},  # bool("false") is True
+        lambda obj: {**obj, "converged": 0},
+        lambda obj: {**obj, "converged": None},
     ],
     ids=["list", "string", "bounds-number", "no-lower", "string-upper", "infinite-lower",
-         "no-variant", "unknown-variant", "expectation-without-nu", "instance-marginal-with-nu"],
+         "no-variant", "unknown-variant", "expectation-without-nu", "instance-marginal-with-nu",
+         "string-converged", "number-converged", "null-converged"],
 )
 def test_load_model_rejects_malformed_file(tmp_path, edit):
     path = tmp_path / "m.json"
@@ -188,6 +192,14 @@ def test_load_model_rejects_malformed_file(tmp_path, edit):
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     with pytest.raises(InputError):
         load_model(path)
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_load_model_reads_boolean_converged(tmp_path, value):
+    path = tmp_path / "m.json"
+    save_model(toy_model(), path, lambda_policy="0.25", n=10)
+    path.write_text(json.dumps({**json.loads(path.read_text()), "converged": value}))
+    assert load_model(path)[0].converged is value
 
 
 def test_feature_map_roundtrip(tmp_path):

@@ -11,13 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mrckit
-from mrckit.core import AlphaLoss, LogLoss, ZeroOneLoss
+from mrckit.core import AlphaLoss, ConstraintAtoms, LogLoss, ZeroOneLoss
 from mrckit.datasets import two_class_demo_joint
 from mrckit.features import StumpSpec, constraint_atoms, estimate_expectations, fit_thresholds
 from mrckit.marginals import adversarial01_objective, logreg_objective
-from mrckit.solver import ReducedObjective
+from mrckit.solver import ReducedDual, ReducedObjective
 
 SRC = Path(mrckit.__file__).resolve().parent
 
@@ -55,6 +56,46 @@ def test_box_dual_is_the_one_hot_formula_bit_for_bit(table, loss):
         # the one-hot weighting is the smallest offset with its pattern's label weights
         assert value == float(box.half_width @ np.abs(w) - box.midpoint @ w - offsets[j])
         assert np.array_equal(grad_offset, np.outer(label_weights[j], atoms.patterns[j]))
+
+
+LOSSES = [ZeroOneLoss(), LogLoss(), AlphaLoss(0.5), AlphaLoss(2.0), AlphaLoss(4.0)]
+
+
+@st.composite
+def reduced_duals(draw):
+    """A reduced dual on random patterns over K = 2-6 labels, for the box
+    (marginal None) or a pinned marginal, with weights and a second point."""
+    loss = draw(st.sampled_from(LOSSES))
+    k, b, r = draw(st.integers(2, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    patterns = np.hstack([np.ones((r, 1)), rng.integers(0, 2, size=(r, b - 1))])
+    atoms = ConstraintAtoms(patterns, k)
+    marginal = rng.dirichlet(np.ones(r)) if draw(st.booleans()) else None
+    dual = ReducedDual(loss, atoms, rng.uniform(0.0, 0.2, atoms.dim), rng.uniform(0.0, 1.0, atoms.dim),
+                       marginal)
+    scale = draw(st.sampled_from([0.01, 1.0, 10.0]))
+    return dual, scale * rng.normal(size=atoms.dim), scale * rng.normal(size=(4, atoms.dim))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=reduced_duals())
+def test_evaluate_is_the_offset_formula_with_a_subgradient(case):
+    dual, w, others = case
+    value, grad, offsets = dual.evaluate(w)
+    scores = dual.atoms.scores(w)
+    own = dual.loss.offset(scores)
+    q_offset = own.min() if dual.marginal is None else dual.marginal @ own
+    formula = float(dual.half_width @ np.abs(w) - dual.midpoint @ w - q_offset)
+    if isinstance(dual.loss, AlphaLoss):
+        assert abs(value - formula) <= 1e-12 * (1.0 + abs(formula))
+        assert dual.loss.residual(scores, offsets[:, None]) <= 0.0
+    else:  # closed forms, not rounded: feasible to the rounding of their sums
+        assert value == formula
+        tol = 4.0 * scores.shape[1] * np.finfo(float).eps * (1.0 + np.abs(scores).max())
+        assert dual.loss.residual(scores, offsets[:, None]) <= tol
+    for other in (w + 1e-3 * others[0], *others):
+        slack = 1e-9 * (1.0 + abs(value))
+        assert dual.evaluate(other)[0] >= value + grad @ (other - w) - slack
 
 
 @pytest.mark.parametrize(
