@@ -26,13 +26,6 @@ from .core import (
     ZeroOneLoss,
     beta_of_alpha,
 )
-from .entropies import (
-    ExplicitDistribution,
-    closed_form_entropy,
-    empirical_risk,
-    entropy_by_minimization,
-    score,
-)
 from .features import (
     StumpSpec,
     constraint_atoms,
@@ -41,7 +34,8 @@ from .features import (
     hoeffding_widths,
 )
 from .marginals import train_adversarial01, train_logreg
-from .predictors import predict_labels, predict_probs, sample_labels
+from .oracle import entropy_by_minimization
+from .predictors import empirical_risk, predict_labels, predict_probs, sample_labels
 from .solver import (
     SolverConfig,
     train_mrc,
@@ -56,7 +50,6 @@ __all__ = [
     "ConstraintAtoms",
     "Dataset",
     "ExpectationBox",
-    "ExplicitDistribution",
     "FeatureMap",
     "LogLoss",
     "LogRelativeLoss",
@@ -67,7 +60,6 @@ __all__ = [
     "ZeroOneLoss",
     "beta_of_alpha",
     "bound_report",
-    "closed_form_entropy",
     "constraint_atoms",
     "empirical_risk",
     "entropy_by_minimization",
@@ -79,7 +71,6 @@ __all__ = [
     "predict_labels",
     "predict_probs",
     "sample_labels",
-    "score",
     "train_adversarial01",
     "train_logreg",
     "train_mrc",

@@ -53,7 +53,7 @@ def lower_bound(
     over the distributions on the patterns that the box admits, -L(eps)."""
     eps = model_loss_table(model, atoms).ravel()
     rows = label_blocks(atoms.patterns, atoms.num_classes)
-    return -solve_box_lp(box, rows, 1.0, eps, solve_lp)[1]
+    return 0.0 - solve_box_lp(box, rows, 1.0, eps, solve_lp)[1]  # +0.0, not -0.0
 
 
 def worst_case_risk(

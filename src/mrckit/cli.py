@@ -28,7 +28,6 @@ from .data_io import (
     save_feature_map,
     save_model,
 )
-from .entropies import empirical_risk, grid_units
 from .features import (
     StumpSpec,
     constraint_atoms,
@@ -38,15 +37,15 @@ from .features import (
     widths_vector,
 )
 from .marginals import train_adversarial01, train_logreg
-from .oracle import brute_force_max_entropy
-from .predictors import predict_probs, sample_labels
+from .oracle import brute_force_max_entropy, grid_units
+from .predictors import empirical_risk, predict_probs, sample_labels
 from .solver import SolverConfig, exact_lp_fits, train_mrc, train_zero_one_exact
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
-ORACLE_BUDGET = 25_000_000  # lattice entries (points x cells); 2.1e7 peaked at 414 MB
+ORACLE_BUDGET = 25_000_000  # lattice entries (points x cells); 2.1e7 peaked at 188 MB
 
 METHODS = ("mrc-zero-one", "mrc-log", "adversarial-zero-one", "logistic-regression")
 

@@ -1,21 +1,23 @@
-"""Prediction rules read off the trained dual parameters.
+"""Prediction rules read off the trained dual parameters, and their risk.
 
 Each loss turns the linear scores into conditional probabilities with its own
 ``rule``; all rules inherit dual feasibility, so on every training pattern
 the emitted probabilities dominate the quantities the dual constraints bound.
+``empirical_risk`` scores any such rule on a labelled dataset.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Loss, MrcModel
+from .core import Dataset, Loss, MrcModel
 
 __all__ = [
     "rule_probs",
     "predict_probs",
     "predict_labels",
     "sample_labels",
+    "empirical_risk",
 ]
 
 
@@ -42,3 +44,14 @@ def sample_labels(probs, seed) -> np.ndarray:
     cum = np.cumsum(probs, axis=1)
     cum[:, -1] = 1.0  # guard round-off at the top end
     return (u[:, None] > cum).sum(axis=1) + 1
+
+
+def empirical_risk(loss: Loss, rule_probs, data: Dataset) -> float:
+    """Mean loss of a rule (per-instance probability rows) on a dataset.
+
+    Infinite log loss propagates as +inf rather than raising.
+    """
+    H = np.atleast_2d(np.asarray(rule_probs, dtype=np.float64))
+    if H.shape != (data.n, data.num_classes):
+        raise ValueError(f"rule has shape {H.shape}, need ({data.n}, {data.num_classes})")
+    return float(np.mean(loss.loss_table(H)[np.arange(data.n), data.labels - 1]))

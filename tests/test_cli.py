@@ -303,6 +303,19 @@ def test_eval_bounds_rejects_malformed_stored_bounds(demo_csv, tmp_path, capsys,
     assert "bounds" in capsys.readouterr().err
 
 
+def test_zero_lower_bound_is_positive_zero(tmp_path, capsys):
+    # every row has label 1, so the model's own rule can reach zero risk
+    path = tmp_path / "one_class.csv"
+    path.write_text("\n".join(["f1,label"] + [f"{i % 4}.0,1" for i in range(20)]) + "\n")
+    model_path = tmp_path / "m.json"
+    assert run(["train", "--data", str(path), "--loss", "zero-one", "--lower",
+                "--out", str(model_path)]) == 0
+    lines = dict(l.split(" ", 1) for l in capsys.readouterr().out.strip().splitlines())
+    assert lines["lower_bound"] == "0.0"
+    lower = json.loads(model_path.read_text())["bounds"]["lower"]
+    assert lower == 0.0 and math.copysign(1.0, lower) == 1.0
+
+
 def test_bounds_on_fixed_marginal_model_exits_2(demo_csv, tmp_path, capsys):
     from mrckit.data_io import load_dataset, save_model
     from mrckit.features import StumpSpec, fit_thresholds

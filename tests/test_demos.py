@@ -1,18 +1,22 @@
-"""Demos that run fast enough for the test suite (the others take 10-40 s each)."""
+"""Every demo script runs to completion (each takes a few seconds)."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def test_demo_03_runs():
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "03_regularization_and_baselines.py")],
+        [sys.executable, str(demo)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr

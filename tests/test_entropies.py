@@ -4,46 +4,47 @@ import numpy as np
 import pytest
 
 from mrckit.core import AlphaLoss, Dataset, LogLoss, LogRelativeLoss, ZeroOneLoss
-from mrckit.entropies import (
-    ExplicitDistribution,
-    closed_form_entropy,
-    empirical_risk,
-    entropy_by_minimization,
-    score,
-    simplex_grid,
-)
+from mrckit.datasets import KnownJoint
+from mrckit.oracle import entropy_by_minimization, simplex_grid
+from mrckit.predictors import empirical_risk
 
 ZO = ZeroOneLoss()
 LG = LogLoss()
 
 
+def joint(probs):
+    """A joint table over placeholder instances; only its probs matter here."""
+    probs = np.atleast_2d(probs)
+    return KnownJoint(instances=np.zeros((probs.shape[0], 1)), probs=probs)
+
+
 def random_distribution(rng, nx, ny):
     p = rng.random((nx, ny))
-    return ExplicitDistribution(probs=p / p.sum())
+    return joint(p / p.sum())
 
 
 def test_score_zero_one_table2():
     # score is one minus the probability placed on the realized label
-    assert score(ZO, [0.7, 0.3], 2) == pytest.approx(0.7)
-    assert score(ZO, [0.7, 0.3], 1) == pytest.approx(0.3)
+    assert ZO.loss_table([0.7, 0.3])[1] == pytest.approx(0.7)
+    assert ZO.loss_table([0.7, 0.3])[0] == pytest.approx(0.3)
 
 
 def test_score_log_uniform():
-    assert score(LG, [0.25] * 4, 3) == pytest.approx(math.log(4))
+    assert LG.loss_table([0.25] * 4)[2] == pytest.approx(math.log(4))
 
 
 def test_score_alpha_forced():
     # alpha = 2 gives beta = 2: 2 (1 - sqrt(0.25)) = 1
-    assert score(AlphaLoss(2.0), [0.75, 0.25], 2) == pytest.approx(1.0)
+    assert AlphaLoss(2.0).loss_table([0.75, 0.25])[1] == pytest.approx(1.0)
 
 
 def test_score_log_zero_probability_is_inf():
-    assert score(LG, [1.0, 0.0], 2) == math.inf
+    assert LG.loss_table([1.0, 0.0])[1] == math.inf
 
 
 def test_score_log_relative():
     loss = LogRelativeLoss(reference=[0.5, 0.5])
-    assert score(loss, [0.25, 0.75], 1) == pytest.approx(math.log(2.0))
+    assert loss.loss_table([0.25, 0.75])[0] == pytest.approx(math.log(2.0))
 
 
 def test_empirical_risk_uniform_rule_three_classes():
@@ -72,24 +73,24 @@ def test_empirical_risk_infinite_log_reported():
 
 
 def test_closed_form_uniform_2x2():
-    p = ExplicitDistribution(probs=np.full((2, 2), 0.25))
-    assert closed_form_entropy(ZO, p) == pytest.approx(0.5)
-    assert closed_form_entropy(LG, p) == pytest.approx(math.log(2.0))
+    p = joint(np.full((2, 2), 0.25))
+    assert ZO.entropy(p.probs) == pytest.approx(0.5)
+    assert LG.entropy(p.probs) == pytest.approx(math.log(2.0))
 
 
 def test_closed_form_log_relative_independent_is_zero():
     # independent joint with matching reference has zero relative entropy
     px = np.array([0.3, 0.7])
     p0 = np.array([0.4, 0.6])
-    p = ExplicitDistribution(probs=np.outer(px, p0))
+    p = joint(np.outer(px, p0))
     loss = LogRelativeLoss(reference=p0)
-    assert closed_form_entropy(loss, p) == pytest.approx(0.0, abs=1e-12)
+    assert loss.entropy(p.probs) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_closed_form_point_mass_is_zero():
-    p = ExplicitDistribution(probs=np.array([[1.0, 0.0]]))
-    assert closed_form_entropy(ZO, p) == 0.0
-    assert closed_form_entropy(LG, p) == pytest.approx(0.0)
+    p = joint(np.array([[1.0, 0.0]]))
+    assert ZO.entropy(p.probs) == 0.0
+    assert LG.entropy(p.probs) == pytest.approx(0.0)
 
 
 def test_grid_entropy_zero_one_tracks_closed_form():
@@ -97,18 +98,18 @@ def test_grid_entropy_zero_one_tracks_closed_form():
     for _ in range(5):
         p = random_distribution(rng, 2, 2)
         grid = entropy_by_minimization(ZO, p, 0.01)
-        exact = closed_form_entropy(ZO, p)
+        exact = ZO.entropy(p.probs)
         assert abs(grid - exact) <= 0.02
 
 
 def test_grid_entropy_point_mass():
-    p = ExplicitDistribution(probs=np.array([[1.0, 0.0]]))
+    p = joint(np.array([[1.0, 0.0]]))
     assert entropy_by_minimization(ZO, p, 0.05) == pytest.approx(0.0, abs=1e-12)
     assert entropy_by_minimization(LG, p, 0.05) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_grid_entropy_log_uniform_2x2():
-    p = ExplicitDistribution(probs=np.full((2, 2), 0.25))
+    p = joint(np.full((2, 2), 0.25))
     v = entropy_by_minimization(LG, p, 0.001)
     assert abs(v - math.log(2.0)) <= 0.005
 
@@ -120,7 +121,7 @@ def test_grid_never_beats_closed_form():
         for _ in range(5):
             p = random_distribution(rng, 3, 2)
             grid = entropy_by_minimization(loss, p, 0.02)
-            exact = closed_form_entropy(loss, p)
+            exact = loss.entropy(p.probs)
             assert grid >= exact - 1e-9
             assert grid <= exact + 0.1
 
@@ -132,9 +133,9 @@ def test_concavity_spot_check():
             a = random_distribution(rng, 2, 2)
             b = random_distribution(rng, 2, 2)
             t = rng.random()
-            mix = ExplicitDistribution(probs=t * a.probs + (1 - t) * b.probs)
-            lhs = closed_form_entropy(loss, mix)
-            rhs = t * closed_form_entropy(loss, a) + (1 - t) * closed_form_entropy(loss, b)
+            mix = joint(t * a.probs + (1 - t) * b.probs)
+            lhs = loss.entropy(mix.probs)
+            rhs = t * loss.entropy(a.probs) + (1 - t) * loss.entropy(b.probs)
             assert lhs >= rhs - 1e-9
 
 
@@ -148,3 +149,9 @@ def test_simplex_grid_rows_sum_to_one():
     assert g.shape[1] == 3
     np.testing.assert_allclose(g.sum(axis=1), 1.0)
     assert len(g) == len({tuple(r) for r in g.round(12)})
+
+
+@pytest.mark.parametrize("probs", [[[0.5, 0.6]], [[1.1, -0.1]], [[0.5, 0.5 - 1e-11]]])
+def test_joint_tables_must_be_distributions(probs):
+    with pytest.raises(ValueError):
+        joint(np.array(probs))

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mrckit.core import AlphaLoss, ExpectationBox, FeatureMap, LogLoss, ZeroOneLoss
 from mrckit.oracle import (
@@ -42,6 +44,40 @@ def test_compositions_counts_and_sums():
 
 def test_compositions_single_part():
     np.testing.assert_array_equal(compositions(7, 1), [[7]])
+
+
+def reference_compositions(units, parts):
+    """Level-by-level expansion of all prefixes, the enumeration ``compositions``
+    replaced; the rows it must reproduce, in the same order."""
+    prefix = np.zeros((1, 0), dtype=np.int32)
+    remaining = np.array([units], dtype=np.int32)
+    for _ in range(parts - 1):
+        reps = remaining + 1
+        row_of = np.repeat(np.arange(remaining.shape[0]), reps)
+        offsets = np.concatenate([[0], np.cumsum(reps)[:-1]])
+        first = np.arange(reps.sum(), dtype=np.int32) - np.repeat(offsets, reps)
+        prefix = np.hstack([prefix[row_of], first[:, None]])
+        remaining = remaining[row_of] - first
+    return np.hstack([prefix, remaining[:, None]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(units=st.integers(0, 25), parts=st.integers(1, 6))
+def test_compositions_match_reference_rows_as_int32(units, parts):
+    comp = compositions(units, parts)
+    assert comp.dtype == np.int32
+    np.testing.assert_array_equal(comp, reference_compositions(units, parts))
+
+
+def test_compositions_peak_memory_within_twice_the_result():
+    tracemalloc.start()
+    try:
+        comp = compositions(40, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert comp.shape == (math.comb(45, 5), 6)
+    assert peak <= 2 * comp.nbytes, f"peak {peak} B for a {comp.nbytes} B table"
 
 
 def test_label_frequency_pinch():
