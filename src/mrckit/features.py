@@ -2,8 +2,9 @@
 
 Thresholds come from one-dimensional decision stumps grown independently per
 instance dimension: greedy binary splits maximizing Gini impurity decrease,
-up to a leaf budget per dimension.  Candidate split points are midpoints of
-consecutive distinct values.
+up to a leaf budget per dimension.  A split between consecutive distinct
+values a < b sits at their midpoint, or at a where the midpoint rounds up
+to b.
 """
 
 from __future__ import annotations
@@ -43,68 +44,61 @@ class StumpSpec:
 
 
 def _gini_score(counts):
-    """sum_c n_c^2 / n per row of a (..., C) count array; 0 for empty rows."""
-    totals = counts.sum(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = (counts.astype(np.float64) ** 2).sum(axis=-1) / totals
-    return np.where(totals > 0, s, 0.0)
+    """sum_c n_c^2 / n per row of a (..., C) count array; no row may be empty."""
+    return (counts.astype(np.float64) ** 2).sum(axis=-1) / counts.sum(axis=-1)
 
 
-def _best_split(values, cum, lo, hi):
+def _best_split(cuts, cum, lo, hi):
     """Best Gini split of the sorted slice [lo, hi).
 
-    ``cum`` holds cumulative class counts over the sorted order with a
-    leading zero row.  Returns (gain, boundary) where the left part is
-    [lo, boundary); gain is the decrease of count-weighted Gini impurity.
-    Only boundaries between distinct values qualify.
+    ``cuts`` holds the sorted positions b with values[b-1] != values[b], the
+    only boundaries that qualify, and ``cum`` the cumulative class counts
+    over the sorted order with a leading zero row.  Returns (gain, boundary)
+    where the left part is [lo, boundary), or (0.0, -1) when the slice holds
+    one distinct value; gain is the decrease of count-weighted Gini impurity.
     """
-    n = hi - lo
-    if n < 2:
-        return 0.0, -1
-    boundaries = np.arange(lo + 1, hi)
-    distinct = values[boundaries] != values[boundaries - 1]
-    boundaries = boundaries[distinct]
+    boundaries = cuts[np.searchsorted(cuts, lo, side="right") : np.searchsorted(cuts, hi)]
     if boundaries.size == 0:
         return 0.0, -1
     left = cum[boundaries] - cum[lo]
     right = cum[hi] - cum[boundaries]
-    parent = cum[hi] - cum[lo]
     # weighted impurity n*G(S) = n - sum n_c^2/n, so the decrease is
-    # sum n_c^2/n (left) + (right) - (parent)
-    gains = _gini_score(left) + _gini_score(right) - _gini_score(parent[None, :])[0]
+    # sum n_c^2/n (left) + (right) - (parent); no part is empty
+    gains = _gini_score(left) + _gini_score(right) - _gini_score(cum[hi] - cum[lo])
     k = int(np.argmax(gains))
     return float(gains[k]), int(boundaries[k])
 
 
 def stump_thresholds_1d(values, labels, num_classes, max_leaves):
-    """Split values of one dimension greedily; returns sorted threshold list.
+    """Split values of one dimension greedily, best first; returns sorted thresholds.
 
-    Grows until the leaf budget is reached, no leaf is impure, or no split
-    decreases impurity (perfectly mixed labels at every candidate yield no
-    thresholds).
+    Each leaf's best split is searched once, when the leaf is made, and kept
+    with it in insertion order; each round splits the first leaf of largest
+    gain, so 2L-1 searches grow L leaves.  Growth stops at the leaf budget,
+    or when no split decreases impurity (perfectly mixed labels at every
+    candidate yield no thresholds).  A split between sorted neighbours a < b
+    gets the threshold 0.5a + 0.5b, or a where that rounds up to b, so
+    a <= t < b holds for all finite values.
     """
     order = np.argsort(values, kind="stable")
     v = np.asarray(values, dtype=np.float64)[order]
-    lab = np.asarray(labels, dtype=np.int64)[order] - 1
     n = v.shape[0]
+    cuts = np.flatnonzero(v[1:] != v[:-1]) + 1
     cum = np.zeros((n + 1, num_classes), dtype=np.int64)
-    np.add.at(cum[1:], (np.arange(n), lab), 1)
-    cum = np.cumsum(cum, axis=0)
+    onehot = np.asarray(labels)[order, None] - 1 == np.arange(num_classes)
+    np.cumsum(onehot, axis=0, dtype=np.int64, out=cum[1:])
 
-    leaves = [(0, n)]
+    leaves = {(0, n): _best_split(cuts, cum, 0, n)}
     thresholds = []
     while len(leaves) < max_leaves:
-        best = (-1.0, -1, -1)  # gain, leaf index, boundary
-        for i, (lo, hi) in enumerate(leaves):
-            gain, boundary = _best_split(v, cum, lo, hi)
-            if gain > best[0]:
-                best = (gain, i, boundary)
-        gain, i, boundary = best
-        if boundary < 0 or gain <= _MIN_GINI_GAIN * max(1, n):
+        (lo, hi), (gain, b) = max(leaves.items(), key=lambda leaf: leaf[1][0])
+        if b < 0 or gain <= _MIN_GINI_GAIN * max(1, n):
             break
-        lo, hi = leaves.pop(i)
-        leaves.extend([(lo, boundary), (boundary, hi)])
-        thresholds.append(0.5 * (v[boundary - 1] + v[boundary]))
+        del leaves[lo, hi]
+        leaves[lo, b] = _best_split(cuts, cum, lo, b)
+        leaves[b, hi] = _best_split(cuts, cum, b, hi)
+        t = 0.5 * v[b - 1] + 0.5 * v[b]
+        thresholds.append(t if t < v[b] else v[b - 1])
     return sorted(thresholds)
 
 

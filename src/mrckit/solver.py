@@ -270,14 +270,32 @@ class ReducedDual:
         return value, self.half_width * np.sign(w) - self.midpoint + grad_offset.ravel(), offsets
 
     def model(self, weights, feature_map=None, converged=True) -> MrcModel:
-        """The trained model at ``weights``: the box's carries the smallest
-        offset; a pinned marginal's recomputes each instance's at prediction."""
+        """The trained model at ``weights``.  A pinned marginal's carries no
+        offset and recomputes each instance's at prediction.  The box's
+        carries the smallest offset, rounded to the feasible side for every
+        loss: stepped down by 0, 1, 4, 16, ... units of
+        eps (1 + |offset| + max|score|) until the dual constraint holds in
+        floating point at every pattern, with the objective value at the
+        stored offset.  An offset that already holds there, as every alpha
+        offset does, stays as it is."""
         w = np.asarray(weights, dtype=np.float64)
         value, _, offsets = self.evaluate(w)
+        offset = None
+        if self.marginal is None:
+            scores = self.atoms.scores(w)
+            top = float(offsets.min())
+            unit = _EPS * (1.0 + abs(top) + float(np.abs(scores).max()))
+            for step in (0.0, *(4.0**n for n in range(32))):
+                offset = float(top - unit * step)
+                if self.loss.residual(scores, offset) <= 0.0:
+                    break
+            else:
+                raise RuntimeError("box offset did not reach the feasible side")
+            value = dual_value(w, self.half_width, self.midpoint, offset)
         return MrcModel(
             loss=self.loss,
             weights=w,
-            offset=float(offsets.min()) if self.marginal is None else None,
+            offset=offset,
             objective_value=value,
             num_classes=self.atoms.num_classes,
             feature_map=feature_map,

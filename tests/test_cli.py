@@ -466,6 +466,15 @@ def test_oracle_refuses_bad_steps_and_oversized_lattices(tmp_path, instances, st
         assert done.stderr.startswith("error: ")
 
 
+def test_train_on_values_near_the_float_limit(tmp_path):
+    # the midpoint 0.5 * (1e308 + 1.6e308) of these finite values overflows
+    path = tmp_path / "huge.csv"
+    path.write_text("f1,label\n1e308,1\n1e308,1\n1.6e308,2\n1.6e308,2\n")
+    done = _cli_in_child(["train", "--data", str(path), "--loss", "zero-one"], ORACLE_AS_CAP, 120)
+    assert done.returncode == 0, done.stderr
+    assert "upper_bound" in done.stdout
+
+
 def test_bounds_on_model_with_infeasible_offset_exits_2(demo_csv, tmp_path, capsys):
     # a raised offset breaks dual feasibility, so the dual value bounds nothing
     train, _ = demo_csv

@@ -2,7 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mrckit import features
 from mrckit.core import Dataset, FeatureMap
 from mrckit.features import (
     StumpSpec,
@@ -38,6 +40,144 @@ def gini_scan_oracle(values, labels, num_classes):
         if gain > best_gain + 1e-12:
             best_gain, best_th = gain, th
     return best_gain, best_th
+
+
+def reference_stump_thresholds(values, labels, num_classes, max_leaves):
+    """Round-by-round greedy growth: every open leaf's best split is searched
+    again each round, and the first leaf of largest gain (strict >) is split,
+    its two children appended at the end; thresholds are 0.5 * (a + b)."""
+
+    def gini_score(counts):
+        return (counts.astype(np.float64) ** 2).sum(axis=-1) / counts.sum(axis=-1)
+
+    def best_split(v, cum, lo, hi):
+        boundaries = np.arange(lo + 1, hi)
+        boundaries = boundaries[v[boundaries] != v[boundaries - 1]]
+        if boundaries.size == 0:
+            return 0.0, -1
+        left = cum[boundaries] - cum[lo]
+        right = cum[hi] - cum[boundaries]
+        parent = cum[hi] - cum[lo]
+        gains = gini_score(left) + gini_score(right) - gini_score(parent[None, :])[0]
+        k = int(np.argmax(gains))
+        return float(gains[k]), int(boundaries[k])
+
+    order = np.argsort(values, kind="stable")
+    v = np.asarray(values, dtype=np.float64)[order]
+    lab = np.asarray(labels, dtype=np.int64)[order] - 1
+    n = v.shape[0]
+    cum = np.zeros((n + 1, num_classes), dtype=np.int64)
+    np.add.at(cum[1:], (np.arange(n), lab), 1)
+    cum = np.cumsum(cum, axis=0)
+    leaves, thresholds = [(0, n)], []
+    while len(leaves) < max_leaves:
+        best = (-1.0, -1, -1)  # gain, leaf index, boundary
+        for i, (lo, hi) in enumerate(leaves):
+            gain, boundary = best_split(v, cum, lo, hi)
+            if gain > best[0]:
+                best = (gain, i, boundary)
+        gain, i, boundary = best
+        if boundary < 0 or gain <= 1e-10 * max(1, n):
+            break
+        lo, hi = leaves.pop(i)
+        leaves.extend([(lo, boundary), (boundary, hi)])
+        thresholds.append(0.5 * (v[boundary - 1] + v[boundary]))
+    return sorted(thresholds)
+
+
+# magnitudes in [1e-300, 1e300]: halving and adding two of them neither
+# overflows nor leaves the normal range
+_MAGNITUDE = st.floats(1e-300, 1e300)
+_NORMAL = st.one_of(st.just(0.0), _MAGNITUDE, _MAGNITUDE.map(lambda x: -x))
+
+
+@st.composite
+def stump_inputs(draw):
+    """Values drawn from a pool of 1-30 numbers (ties, few distinct values),
+    either integers or floats of any normal magnitude, labels over K = 2-5
+    classes, and a budget of 2-40 leaves."""
+    pool_values = st.one_of(st.integers(-5, 5).map(float), _NORMAL)
+    pool = draw(st.lists(pool_values, min_size=1, max_size=30, unique=True))
+    n = draw(st.integers(1, 80))
+    values = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    k = draw(st.integers(2, 5))
+    labels = np.array(draw(st.lists(st.integers(1, k), min_size=n, max_size=n)))
+    return values, labels, k, draw(st.integers(2, 40))
+
+
+def _split_between(thresholds, values):
+    """Every threshold t has a value at or below it and the next value above."""
+    for t in thresholds:
+        assert np.any(values <= t) and np.any(values > t)
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=stump_inputs())
+def test_thresholds_match_the_round_by_round_reference(case):
+    values, labels, k, leaves = case
+    got = stump_thresholds_1d(values, labels, k, leaves)
+    _split_between(got, values)
+    u = np.unique(values)
+    if np.all(0.5 * (u[:-1] + u[1:]) < u[1:]):  # the reference's midpoints stay below b
+        want = reference_stump_thresholds(values, labels, k, leaves)
+        assert [t.hex() for t in got] == [t.hex() for t in want]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=20),
+    seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+)
+def test_every_threshold_splits_its_neighbours(values, seed):
+    # any finite values, subnormal and near-overflow ones included; labels 1
+    # on the lower half and 2 on the upper, flipped at random given a seed
+    values = np.array(values)
+    labels = np.ones(values.size, dtype=np.int64)
+    labels[np.argsort(values, kind="stable")[values.size // 2 :]] = 2
+    if seed is not None:
+        labels = np.where(np.random.default_rng(seed).random(values.size) < 0.3, 3 - labels, labels)
+    got = stump_thresholds_1d(values, labels, 2, 40)
+    _split_between(got, values)
+
+
+@pytest.mark.parametrize("leaves", [5, 12, 40])
+def test_each_leaf_split_is_searched_once(monkeypatch, leaves):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return best_split(*args)
+
+    best_split = features._best_split
+    monkeypatch.setattr(features, "_best_split", counted)
+    rng = np.random.default_rng(leaves)
+    values = rng.normal(size=500)
+    labels = rng.integers(1, 4, 500)
+    got = stump_thresholds_1d(values, labels, 3, leaves)
+    grown = len(got) + 1
+    assert grown >= 5
+    assert len(calls) <= 2 * grown - 1
+
+
+def test_threshold_between_adjacent_floats_separates_them():
+    # 0.5 * (a + b) rounds up to b for neighbouring floats a < b
+    a = np.nextafter(1.0, 2.0)
+    b = np.nextafter(a, 2.0)
+    values = np.array([a, a, b, b])
+    got = stump_thresholds_1d(values, [1, 1, 2, 2], 2, max_leaves=2)
+    assert got == [a]
+    fm = FeatureMap(num_classes=2, thresholds=((1, got[0]),))
+    np.testing.assert_array_equal(fm.indicator_matrix(values[:, None])[:, 1], [1, 1, 0, 0])
+
+
+def test_threshold_between_huge_values_is_finite():
+    # a + b overflows to inf for these finite values
+    values = np.array([1e308, 1e308, 1.6e308, 1.6e308])
+    with np.errstate(over="raise"):
+        fm = fit_thresholds(Dataset(values[:, None], [1, 1, 2, 2], num_classes=2))
+    (d, t), = fm.thresholds
+    assert d == 1 and 1e308 <= t < 1.6e308
+    np.testing.assert_array_equal(fm.indicator_matrix(values[:, None])[:, 1], [1, 1, 0, 0])
 
 
 def test_single_split_matches_scan_oracle():

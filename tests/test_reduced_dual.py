@@ -18,7 +18,7 @@ from mrckit.core import AlphaLoss, ConstraintAtoms, LogLoss, ZeroOneLoss
 from mrckit.datasets import two_class_demo_joint
 from mrckit.features import StumpSpec, constraint_atoms, estimate_expectations, fit_thresholds
 from mrckit.marginals import adversarial01_objective, logreg_objective
-from mrckit.solver import ReducedDual, ReducedObjective
+from mrckit.solver import ReducedDual, ReducedObjective, dual_value
 
 SRC = Path(mrckit.__file__).resolve().parent
 
@@ -96,6 +96,25 @@ def test_evaluate_is_the_offset_formula_with_a_subgradient(case):
     for other in (w + 1e-3 * others[0], *others):
         slack = 1e-9 * (1.0 + abs(value))
         assert dual.evaluate(other)[0] >= value + grad @ (other - w) - slack
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=reduced_duals())
+def test_box_models_carry_an_offset_on_the_feasible_side(case):
+    dual, w, _ = case
+    value, _, offsets = dual.evaluate(w)
+    model = dual.model(w)
+    if dual.marginal is not None:
+        assert model.offset is None and model.objective_value == value
+        return
+    scores = dual.atoms.scores(w)
+    top = offsets.min()
+    assert dual.loss.residual(scores, model.offset) <= 0.0
+    unit = np.finfo(float).eps * (1.0 + abs(top) + np.abs(scores).max())
+    assert top - 4.0 * unit <= model.offset <= top
+    if dual.loss.residual(scores, top) <= 0.0:  # every alpha offset, most others
+        assert model.offset == top and model.objective_value == value
+    assert model.objective_value == dual_value(w, dual.half_width, dual.midpoint, model.offset)
 
 
 @pytest.mark.parametrize(

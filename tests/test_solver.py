@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mrckit.core import (
     AlphaLoss,
@@ -12,11 +13,14 @@ from mrckit.core import (
     ZeroOneLoss,
     beta_of_alpha,
 )
+from mrckit.datasets import lattice_joint
+from mrckit.features import StumpSpec, constraint_atoms, estimate_expectations, fit_thresholds
 from mrckit.solver import (
     MAX_EXACT_LP_ROWS,
     ReducedObjective,
     SolverConfig,
     dual_feasibility_residual,
+    dual_value,
     exact_lp_fits,
     max_offset_alpha,
     max_offset_log,
@@ -309,6 +313,36 @@ def test_exact_lp_model_is_dual_feasible():
     box = random_box(rng, atoms)
     model = train_zero_one_exact(box, atoms)
     assert dual_feasibility_residual(model, atoms) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_classes=st.integers(2, 4))
+def test_emitted_zero_one_and_log_box_models_are_feasible_in_floating_point(seed, num_classes):
+    rng = np.random.default_rng(seed)
+    atoms = random_atoms(rng, num_classes=num_classes, r=5)
+    box = random_box(rng, atoms)
+    models = [train_mrc(loss, box, atoms, SolverConfig(max_iters=200)) for loss in (ZO, LG)]
+    models.append(train_zero_one_exact(box, atoms))
+    for model in models:
+        assert dual_feasibility_residual(model, atoms) <= 0.0
+
+
+def test_exact_lp_offset_rounds_to_the_feasible_side():
+    # the LP's offset on this K=4 lattice sample is -1.0, 2.2e-16 infeasible
+    rng = np.random.default_rng([1, 2])
+    joint = lattice_joint(rng)
+    joint.sample(900, rng.integers(2**32))
+    rng.integers(2**31)
+    data = joint.sample(3000, rng.integers(2**32))
+    fm = fit_thresholds(data, StumpSpec(4))
+    atoms = constraint_atoms(fm, data)
+    box = estimate_expectations(fm, data, 0.25)
+    model = train_zero_one_exact(box, atoms, feature_map=fm)
+    assert dual_feasibility_residual(model, atoms) <= 0.0
+    assert -1.0 - 1e-14 < model.offset < -1.0
+    assert model.objective_value == dual_value(
+        model.weights, box.half_width, box.midpoint, model.offset
+    )
 
 
 def test_exact_lp_flags_empty_box():
