@@ -2,8 +2,11 @@
 
 Subcommands: featurize, train, predict, eval, bounds, experiment, oracle.
 Exit codes: 0 success, 2 malformed input, 3 numeric failure under --strict.
-MRC_THREADS caps the number of parallel experiment cells.  0-1 loss trains on
-the exact LP when ``solver.exact_lp_fits`` admits it, else like other losses.
+Every fit builds its widths, box and atom table in ``_box_and_atoms``; 0-1 loss
+trains on the exact LP when ``solver.exact_lp_fits`` admits it, else like other
+losses.  ``experiment`` runs its (train size, repetition) cells in a process
+pool of at most one worker per cell, capped by MRC_THREADS (unset or 0: every
+core; 1: in-process).
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ def _parse_widths(text, fm):
             raise InputError(f"bad width policy {text!r}") from exc
         if not 0.0 < delta < 1.0:
             raise InputError("theorem3 delta must lie in (0, 1)")
-        return hoeffding_widths(fm, delta), text
+        return hoeffding_widths(fm, delta)
     if text.startswith("file:"):
         path = text.split(":", 1)[1]
         try:
@@ -72,9 +75,15 @@ def _parse_widths(text, fm):
         except ValueError as exc:
             raise InputError(f"bad width policy {text!r}") from exc
     try:
-        return widths_vector(widths, fm.dim), text
+        return widths_vector(widths, fm.dim)
     except ValueError as exc:
         raise InputError(f"width policy {text!r}: {exc}") from exc
+
+
+def _box_and_atoms(fm, data, policy):
+    """The width policy's widths, the expectation box and the atom table of ``data``."""
+    widths = _parse_widths(policy, fm)
+    return widths, estimate_expectations(fm, data, widths), constraint_atoms(fm, data)
 
 
 def _train_one(loss, box, atoms, cfg, fm):
@@ -102,9 +111,7 @@ def cmd_train(args):
     data = load_dataset(args.data, args.classes)
     loss = Loss.from_spec(args.loss)
     fm = fit_thresholds(data, StumpSpec(args.max_leaves))
-    widths, policy = _parse_widths(getattr(args, "lambda"), fm)
-    box = estimate_expectations(fm, data, widths)
-    atoms = constraint_atoms(fm, data)
+    _, box, atoms = _box_and_atoms(fm, data, getattr(args, "lambda"))
     model = _train_one(loss, box, atoms, cfg, fm)
     upper = bounds_mod.upper_bound(model, box)
     stored = None
@@ -118,7 +125,7 @@ def cmd_train(args):
             **report.slack_terms,
         }
     if args.out:
-        save_model(model, args.out, policy, data.n, bounds=stored)
+        save_model(model, args.out, getattr(args, "lambda"), data.n, bounds=stored)
     if args.strict and not model.converged:
         print("solver did not converge within the iteration budget", file=sys.stderr)
         return EXIT_NUMERIC
@@ -128,10 +135,7 @@ def cmd_train(args):
 def cmd_predict(args):
     model, _ = load_model(args.model)
     X = load_instances(args.data)
-    try:
-        probs = predict_probs(model, X)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    probs = predict_probs(model, X)
     labels = np.argmax(probs, axis=1) + 1
     sampled = sample_labels(probs, args.seed) if args.seed is not None else None
     header = ["label"] + [f"prob_{y}" for y in range(1, model.num_classes + 1)]
@@ -165,10 +169,6 @@ def _risk_name(loss):
 def cmd_eval(args):
     model, meta = load_model(args.model)
     data = load_dataset(args.data, model.num_classes)
-    if data.num_classes != model.num_classes:
-        raise InputError(
-            f"data has {data.num_classes} classes, model expects {model.num_classes}"
-        )
     probs = predict_probs(model, data.instances)
     # the 0-1 and log risks always, then the model's own (a no-op for those two)
     risks = {
@@ -190,10 +190,7 @@ def cmd_eval(args):
 def cmd_bounds(args):
     model, _ = load_model(args.model)
     data = load_dataset(args.data, model.num_classes)
-    fm = model.feature_map
-    widths, _ = _parse_widths(getattr(args, "lambda"), fm)
-    box = estimate_expectations(fm, data, widths)
-    atoms = constraint_atoms(fm, data)
+    _, box, atoms = _box_and_atoms(model.feature_map, data, getattr(args, "lambda"))
     report = bounds_mod.bound_report(model, box, atoms)
     table = bounds_mod.model_loss_table(model, atoms)
     worst = bounds_mod.worst_case_risk(table, box, atoms)
@@ -243,36 +240,33 @@ def _experiment_config(path):
 
 
 def _stratified_split(data: Dataset, n_train, n_test, rng):
-    """Training indices stratified by label; test drawn from the remainder."""
-    per_class = {}
-    for y in range(1, data.num_classes + 1):
-        per_class[y] = np.nonzero(data.labels == y)[0]
-    counts = {y: idx.shape[0] for y, idx in per_class.items()}
-    total = data.n
-    if n_train + n_test > total:
+    """Training indices stratified by label; test drawn from the remainder.
+
+    Each class gets its share of ``n_train`` rounded half to even; the
+    rounding drift is then settled one row at a time, largest class first.
+    """
+    if n_train + n_test > data.n:
         raise InputError(
-            f"dataset too small: {total} rows cannot supply {n_train} train + {n_test} test"
+            f"dataset too small: {data.n} rows cannot supply {n_train} train + {n_test} test"
         )
-    take = {y: int(round(n_train * counts[y] / total)) for y in per_class}
-    # fix rounding drift while keeping every class nonempty where possible
-    drift = n_train - sum(take.values())
-    order = sorted(per_class, key=lambda y: -counts[y])
+    per_class = [np.flatnonzero(data.labels == y) for y in range(1, data.num_classes + 1)]
+    counts = np.array([idx.shape[0] for idx in per_class])
+    take = np.rint(n_train * counts / data.n).astype(np.int64)
+    drift = n_train - int(take.sum())
+    order = np.argsort(-counts, kind="stable")
     i = 0
     while drift != 0:
-        y = order[i % len(order)]
+        y = order[i % order.shape[0]]
         step = 1 if drift > 0 else -1
         if 0 <= take[y] + step <= counts[y]:
             take[y] += step
             drift -= step
         i += 1
-    train_idx = []
-    for y in sorted(per_class):
-        picked = rng.choice(per_class[y], size=take[y], replace=False)
-        train_idx.append(picked)
-    train_idx = np.concatenate(train_idx)
-    rest = np.setdiff1d(np.arange(total), train_idx)
-    test_idx = rng.choice(rest, size=n_test, replace=False)
-    return train_idx, test_idx
+    train_idx = np.concatenate(
+        [rng.choice(idx, size=t, replace=False) for idx, t in zip(per_class, take)]
+    )
+    rest = np.setdiff1d(np.arange(data.n), train_idx)
+    return train_idx, rng.choice(rest, size=n_test, replace=False)
 
 
 def _subset(data: Dataset, idx) -> Dataset:
@@ -284,17 +278,14 @@ def _subset(data: Dataset, idx) -> Dataset:
 
 
 def _run_cell(payload):
-    """One (train size, repetition) cell; returns result rows."""
-    cfg, X, y, num_classes, n, rep = payload
-    data = Dataset(instances=X, labels=y, num_classes=num_classes)
+    """One (train size, repetition) cell; returns its formatted CSV rows."""
+    cfg, data, n, rep = payload
     rng = np.random.default_rng([cfg["seed"], n, rep])
     train_idx, test_idx = _stratified_split(data, n, cfg["test_size"], rng)
     train = _subset(data, train_idx)
     test = _subset(data, test_idx)
     fm = fit_thresholds(train, StumpSpec(cfg["max_leaves"]))
-    widths, _ = _parse_widths(cfg["lambda"], fm)
-    box = estimate_expectations(fm, train, widths)
-    atoms = constraint_atoms(fm, train)
+    widths, box, atoms = _box_and_atoms(fm, train, cfg["lambda"])
     solver_cfg = SolverConfig(max_iters=cfg["max_iters"])
 
     rows = []
@@ -303,44 +294,31 @@ def _run_cell(payload):
             loss = ZERO_ONE if method == "mrc-zero-one" else LOG
             model = _train_one(loss, box, atoms, solver_cfg, fm)
             report = bounds_mod.bound_report(model, box, atoms)
-            upper, lower = report.upper, report.lower
+            bound_cells = [repr(float(report.upper)), repr(float(report.lower))]
         else:
             trainer = train_adversarial01 if method == "adversarial-zero-one" else train_logreg
             model = trainer(train, fm, widths, solver_cfg)
-            upper = lower = None
+            bound_cells = ["", ""]
         risk = empirical_risk(model.loss, predict_probs(model, test.instances), test)
-        rows.append((n, rep, method, risk, upper, lower))
+        rows.append([n, rep, method, repr(float(risk)), *bound_cells])
     return rows
 
 
 def cmd_experiment(args):
     cfg = _experiment_config(args.config)
+    threads = os.environ.get("MRC_THREADS", "0")
+    if not threads.strip().isdecimal():
+        raise InputError(f"MRC_THREADS must be a non-negative integer, not {threads!r}")
     data = load_dataset(cfg["dataset"])
-    payloads = [
-        (cfg, np.asarray(data.instances), np.asarray(data.labels), data.num_classes, n, rep)
-        for n in cfg["train_sizes"]
-        for rep in range(cfg["repetitions"])
-    ]
-    workers = int(os.environ.get("MRC_THREADS", "0")) or min(len(payloads), os.cpu_count() or 1)
+    payloads = [(cfg, data, n, rep) for n in cfg["train_sizes"] for rep in range(cfg["repetitions"])]
+    workers = min(len(payloads), int(threads) or os.cpu_count() or 1)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_cell, payloads))
     else:
         chunks = [_run_cell(p) for p in payloads]
-    rows = [row for chunk in chunks for row in chunk]
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    formatted = [
-        [
-            r[0],
-            r[1],
-            r[2],
-            repr(float(r[3])),
-            "" if r[4] is None else repr(float(r[4])),
-            "" if r[5] is None else repr(float(r[5])),
-        ]
-        for r in rows
-    ]
-    _write_csv(args.out, ["n", "seed", "method", "risk", "upper", "lower"], formatted)
+    rows = sorted((row for chunk in chunks for row in chunk), key=lambda r: r[:3])
+    _write_csv(args.out, ["n", "seed", "method", "risk", "upper", "lower"], rows)
     return EXIT_OK
 
 
@@ -358,9 +336,7 @@ def cmd_oracle(args):
             f"{points} lattice points x {cells} cells (distinct instances x labels) at grid "
             f"step {args.grid_step!r} exceed the enumeration budget of {ORACLE_BUDGET} entries"
         )
-    widths, _ = _parse_widths(getattr(args, "lambda"), fm)
-    box = estimate_expectations(fm, data, widths)
-    atoms = constraint_atoms(fm, data)
+    _, box, atoms = _box_and_atoms(fm, data, getattr(args, "lambda"))
     value = brute_force_max_entropy(loss, fm, distinct, box, args.grid_step)
     model = _train_one(loss, box, atoms, cfg, fm)
     print(f"brute_force_max_entropy {value!r}")
@@ -433,10 +409,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, OSError) as exc:
+    except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -462,14 +462,6 @@ class FeatureMap:
         )
         return self.indicator_matrix(X) @ W.T
 
-    def structural_range(self):
-        """Componentwise (min, max) of the feature vector over all (x, y).
-
-        Indicator blocks move between occupied and unoccupied label slots, so
-        with >=2 classes every coordinate attains both 0 and 1.
-        """
-        return np.zeros(self.dim), np.ones(self.dim)
-
 
 @dataclass(frozen=True)
 class ExpectationBox:

@@ -1,10 +1,11 @@
 """CSV and JSON persistence.
 
 CSV files carry a header; the label column is named ``label`` and holds
-values 1..K, every other column is a numeric feature.  Missing or
-non-numeric entries are rejected.  Model files are JSON with floats written
-in shortest round-trip form, so a save/load cycle reproduces predictions
-bit for bit.
+values 1..K, every other column is a numeric feature.  Blank rows are
+skipped; repeated column names and missing or non-numeric entries are
+rejected, a bad entry with its line number in the file.  Model and
+feature-map files are JSON with floats written in shortest round-trip form,
+so a save/load cycle reproduces predictions bit for bit.
 """
 
 from __future__ import annotations
@@ -36,35 +37,39 @@ class InputError(Exception):
 
 
 def _read_table(path):
+    """The header and the (line number, row) pairs of the non-blank data rows."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            rows = list(reader)
+            rows = [(reader.line_num, row) for row in reader if row]
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     if len(rows) < 2:
         raise InputError(f"{path}: need a header row and at least one data row")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in rows[0][1]]
+    repeated = sorted({h for h in header if header.count(h) > 1})
+    if repeated:
+        raise InputError(f"{path}: repeated column names {repeated}")
     body = rows[1:]
     width = len(header)
-    for i, row in enumerate(body, start=2):
+    for line, row in body:
         if len(row) != width:
-            raise InputError(f"{path}:{i}: expected {width} columns, got {len(row)}")
+            raise InputError(f"{path}:{line}: expected {width} columns, got {len(row)}")
         if any(cell.strip() == "" for cell in row):
-            raise InputError(f"{path}:{i}: missing values are not supported")
+            raise InputError(f"{path}:{line}: missing values are not supported")
     return header, body
 
 
 def _parse_numeric(path, header, body, columns):
     out = np.empty((len(body), len(columns)))
-    for i, row in enumerate(body):
+    for i, (line, row) in enumerate(body):
         for j, col in enumerate(columns):
             cell = row[col].strip()
             try:
                 out[i, j] = float(cell)
             except ValueError as exc:
                 raise InputError(
-                    f"{path}:{i + 2}: non-numeric value {cell!r} in column {header[col]!r}"
+                    f"{path}:{line}: non-numeric value {cell!r} in column {header[col]!r}"
                 ) from exc
     if not np.all(np.isfinite(out)):
         raise InputError(f"{path}: non-finite values are not supported")
@@ -139,32 +144,41 @@ def save_model(model: MrcModel, path, lambda_policy: str, n: int, bounds=None):
         fh.write("\n")
 
 
-def load_model(path):
-    """Read a model JSON; returns (model, metadata dict)."""
+def _read_json(path, kind):
+    """The JSON object in a ``kind`` file (model or feature map) of this format version."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read model {path}: {exc}") from exc
+        raise InputError(f"cannot read {kind} {path}: {exc}") from exc
     if not isinstance(obj, dict):
-        raise InputError(f"{path}: a model file holds a JSON object")
+        raise InputError(f"{path}: a {kind} file holds a JSON object")
     if obj.get("format_version") != FORMAT_VERSION:
         raise InputError(f"{path}: unsupported format_version {obj.get('format_version')!r}")
+    return obj
+
+
+def _feature_map(obj) -> FeatureMap:
+    return FeatureMap(
+        num_classes=int(obj["num_classes"]),
+        thresholds=tuple((int(d), float(t)) for d, t in obj["thresholds"]),
+    )
+
+
+def load_model(path):
+    """Read a model JSON; returns (model, metadata dict)."""
+    obj = _read_json(path, "model")
     converged = obj.get("converged", True)
     if not isinstance(converged, bool):  # bool("false") is True
         raise InputError(f"{path}: converged must be true or false, not {converged!r}")
     try:
-        fm = FeatureMap(
-            num_classes=int(obj["num_classes"]),
-            thresholds=tuple((int(d), float(t)) for d, t in obj["thresholds"]),
-        )
         model = MrcModel(
             loss=Loss.from_spec(obj),
             weights=np.array(obj["mu"], dtype=np.float64),
             offset=float(obj["nu"]) if "nu" in obj else None,
             objective_value=float(obj["objective_value"]),
             num_classes=int(obj["num_classes"]),
-            feature_map=fm,
+            feature_map=_feature_map(obj),
             converged=converged,
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -208,12 +222,8 @@ def save_feature_map(fm: FeatureMap, path):
 
 
 def load_feature_map(path) -> FeatureMap:
+    obj = _read_json(path, "feature map")
     try:
-        with open(path) as fh:
-            obj = json.load(fh)
-        return FeatureMap(
-            num_classes=int(obj["num_classes"]),
-            thresholds=tuple((int(d), float(t)) for d, t in obj["thresholds"]),
-        )
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        return _feature_map(obj)
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"cannot read feature map {path}: {exc}") from exc

@@ -38,10 +38,6 @@ class KnownJoint:
         object.__setattr__(self, "probs", P)
 
     @property
-    def num_instances(self) -> int:
-        return self.probs.shape[0]
-
-    @property
     def num_classes(self) -> int:
         return self.probs.shape[1]
 

@@ -155,12 +155,11 @@ def widths_from_feature_range(spread, delta: float) -> np.ndarray:
 def hoeffding_widths(fm: FeatureMap, delta: float) -> np.ndarray:
     """Widths making the box a level-(1-delta) confidence region for the mean.
 
-    The spread of each coordinate comes from the feature map's structural
-    range (indicators and the constant-1 slot over all instances and labels),
-    not from data.
+    Every coordinate spreads over [0, 1], not a range read from data: an
+    indicator block moves between occupied and unoccupied label slots, so with
+    >=2 classes each coordinate attains both 0 and 1 over all (x, y).
     """
-    lo, hi = fm.structural_range()
-    return widths_from_feature_range(hi - lo, delta)
+    return widths_from_feature_range(np.ones(fm.dim), delta)
 
 
 def constraint_atoms(fm: FeatureMap, data: Dataset) -> ConstraintAtoms:

@@ -209,3 +209,34 @@ def test_feature_map_roundtrip(tmp_path):
     back = load_feature_map(path)
     assert back.num_classes == 4
     assert back.thresholds == fm.thresholds
+
+
+def test_load_skips_blank_rows_and_keeps_line_numbers(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("f1,label\n\n1.0,1\n2.0,2\n\n")
+    data = load_dataset(path)
+    np.testing.assert_array_equal(data.instances, [[1.0], [2.0]])
+    np.testing.assert_array_equal(load_instances(path), [[1.0], [2.0]])
+    path.write_text("f1,label\n\n1.0,1\nx,2\n")
+    with pytest.raises(InputError, match=r"blank\.csv:4: non-numeric"):
+        load_dataset(path)
+    # a quoted cell spanning two lines: the next row is on line 5
+    path.write_text('f1,label\n"1.0\n",1\n\nx,2\n')
+    with pytest.raises(InputError, match=r"blank\.csv:5: non-numeric"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("loader", [load_dataset, load_instances])
+def test_load_rejects_repeated_column_names(tmp_path, loader):
+    path = tmp_path / "d.csv"
+    path.write_text("label,label,x\n1,2.0,3.0\n2,4.0,5.0\n")
+    with pytest.raises(InputError, match="repeated column names"):
+        loader(path)
+
+
+def test_load_feature_map_rejects_bad_version(tmp_path):
+    path = tmp_path / "fm.json"
+    save_feature_map(FeatureMap(num_classes=2, thresholds=((1, 0.5),)), path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), "format_version": 99}))
+    with pytest.raises(InputError, match="format_version"):
+        load_feature_map(path)
