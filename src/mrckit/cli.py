@@ -232,6 +232,10 @@ def _experiment_config(path):
     bad = [m for m in cfg["methods"] if m not in METHODS]
     if bad:
         raise InputError(f"unknown methods {bad}; choose from {list(METHODS)}")
+    for key in ("train_sizes", "methods"):
+        repeated = sorted({v for v in cfg[key] if cfg[key].count(v) > 1})
+        if repeated:
+            raise InputError(f"config key {key!r} repeats {repeated}")
     try:
         SolverConfig(max_iters=cfg["max_iters"])
     except ValueError as exc:

@@ -435,18 +435,68 @@ class FeatureMap:
         """Total feature dimension num_classes * (k + 1)."""
         return self.num_classes * self.block_size
 
-    def indicator_matrix(self, X) -> np.ndarray:
-        """Per-instance block [1, indicators] for each row of X, shape (n, k+1)."""
+    def _instances(self, X) -> np.ndarray:
+        """X as a 2-D float array, checked to have every dimension a threshold reads."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        n = X.shape[0]
-        out = np.ones((n, self.block_size))
-        for j, (d, t) in enumerate(self.thresholds, start=1):
+        for j, (d, _) in enumerate(self.thresholds, start=1):
             if d > X.shape[1]:
                 raise ValueError(
                     f"instance has {X.shape[1]} dims but threshold {j} needs dim {d}"
                 )
-            out[:, j] = X[:, d - 1] <= t
-        return out
+        return X
+
+    @cached_property
+    def _distinct_thresholds(self) -> tuple:
+        """(dim, sorted distinct threshold values) for each dimension that has any."""
+        dims = sorted({d for d, _ in self.thresholds})
+        return tuple(
+            (d, np.unique([t for e, t in self.thresholds if e == d])) for d in dims
+        )
+
+    def indicator_matrix(self, X) -> np.ndarray:
+        """Per-instance block [1, indicators] for each row of X, shape (n, k+1).
+
+        Each threshold fills one contiguous row of a (k+1, n) array, read
+        from the matching row of X.T; the result is that array's transpose,
+        so ``indicator_matrix(X).T`` holds one threshold per row.
+        """
+        XT = np.ascontiguousarray(self._instances(X).T)
+        out = np.ones((self.block_size, XT.shape[1]))
+        for j, (d, t) in enumerate(self.thresholds, start=1):
+            np.less_equal(XT[d - 1], t, out=out[j])
+        return out.T
+
+    def cells(self, X):
+        """The cells of X's rows: rows in one cell share one indicator pattern.
+
+        On dimension d a row's indicators are fixed by one number, how many
+        of d's distinct thresholds t satisfy x <= t (0 for NaN, as every
+        comparison with it is false), counted by one pass of the indicators'
+        own comparison per threshold: on large batches that is many times
+        faster than a binary search per row.  The counts of all dimensions
+        combine by mixed radix, compacted to the occupied cells whenever the
+        radix product would exceed n.  Returns (reps, cell): one
+        representative row of X per occupied cell, and the cell of each row,
+        so that ``indicator_matrix(reps)[cell]`` equals ``indicator_matrix(X)``.
+        """
+        X = self._instances(X)
+        n = X.shape[0]
+        cell = np.zeros(n, dtype=np.intp)
+        size = 1  # every cell number is below size
+        for d, values in self._distinct_thresholds:
+            radix = values.shape[0] + 1
+            if size * radix > n:
+                cell, size = _compact(cell, size)
+            column = np.ascontiguousarray(X[:, d - 1])
+            count = np.zeros(n, dtype=np.min_scalar_type(values.shape[0]))
+            for t in values:
+                count += column <= t
+            cell = cell * radix + count
+            size *= radix
+        cell, size = _compact(cell, size)
+        rep = np.empty(size, dtype=np.intp)
+        rep[cell] = np.arange(n)
+        return X.take(rep, axis=0), cell
 
     def vector(self, x, y: int) -> np.ndarray:
         """Feature vector for a single (instance, label) pair."""
@@ -456,11 +506,31 @@ class FeatureMap:
         return label_blocks(block, self.num_classes)[y - 1]
 
     def score_matrix(self, X, weights) -> np.ndarray:
-        """Linear scores vector(x, y) . weights for all rows and labels, shape (n, K)."""
+        """Linear scores vector(x, y) . weights for all rows and labels, shape (n, K).
+
+        Each score adds its weights one threshold at a time, in threshold
+        order, so a row's scores depend on that row alone: a matrix product
+        may sum in an order that changes with the number of rows.
+        """
         W = np.asarray(weights, dtype=np.float64).reshape(
             self.num_classes, self.block_size
         )
-        return self.indicator_matrix(X) @ W.T
+        ind = self.indicator_matrix(X).T
+        scores = np.zeros((self.num_classes, ind.shape[1]))
+        for j in range(self.block_size):
+            scores += W[:, j, None] * ind[j]
+        return np.ascontiguousarray(scores.T)
+
+
+def _compact(cell, size):
+    """Renumber cell numbers below ``size`` to 0..c-1 for the c occupied ones,
+    keeping their order; returns (cell, c)."""
+    occupied = np.zeros(size, dtype=bool)
+    occupied[cell] = True
+    count = int(np.count_nonzero(occupied))
+    ids = np.empty(size, dtype=np.intp)
+    ids[occupied] = np.arange(count)
+    return ids.take(cell), count
 
 
 @dataclass(frozen=True)
@@ -518,10 +588,11 @@ def unique_rows(ind):
     The same rows, order and inverse as ``np.unique(ind, axis=0,
     return_inverse=True)``, found by sorting packed-bit keys: packing puts
     column 0 in the top bit, so comparing the big-endian key words compares
-    rows lexicographically.
+    rows lexicographically.  The distinct rows are unpacked from their keys,
+    C-ordered whatever the layout of ``ind``.
     """
     ind = np.atleast_2d(ind)
-    bits = np.packbits(ind != 0, axis=1)
+    bits = np.ascontiguousarray(np.packbits(ind != 0, axis=1))
     words = np.pad(bits, ((0, 0), (0, -bits.shape[1] % 8))).view(">u8")
     order = np.lexsort(words.T[::-1])
     keys = words[order]
@@ -529,7 +600,8 @@ def unique_rows(ind):
     first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
     inverse = np.empty_like(order)
     inverse[order] = np.cumsum(first) - 1
-    return ind[order[first]], inverse
+    rows = np.unpackbits(keys[first].view(np.uint8), axis=1, count=ind.shape[1])
+    return rows.astype(ind.dtype), inverse
 
 
 def label_blocks(patterns, num_classes: int) -> np.ndarray:
@@ -582,15 +654,22 @@ class ConstraintAtoms:
             object.__setattr__(self, "counts", C)
 
     @classmethod
-    def from_indicators(cls, ind, num_classes: int, labels=None) -> "ConstraintAtoms":
-        """The table of indicator rows, with label counts when labels (1..K) are given."""
-        patterns, inverse = unique_rows(ind)
+    def from_instances(cls, fm: FeatureMap, X, labels=None) -> "ConstraintAtoms":
+        """The table of X's indicator patterns under ``fm``, with label counts
+        when labels (1..K) are given.
+
+        The patterns are ``unique_rows`` of the indicator rows of one
+        representative per occupied cell (``FeatureMap.cells``), and each row
+        counts at its cell's pattern.
+        """
+        reps, cell = fm.cells(X)
+        patterns, inverse = unique_rows(fm.indicator_matrix(reps))
         counts = None
         if labels is not None:
-            r = patterns.shape[0]
-            cells = inverse * num_classes + np.asarray(labels) - 1
-            counts = np.bincount(cells, minlength=r * num_classes).reshape(r, num_classes)
-        return cls(patterns=patterns, num_classes=num_classes, counts=counts)
+            k, r = fm.num_classes, patterns.shape[0]
+            slots = inverse.take(cell) * k + np.asarray(labels) - 1
+            counts = np.bincount(slots, minlength=r * k).reshape(r, k)
+        return cls(patterns=patterns, num_classes=fm.num_classes, counts=counts)
 
     @property
     def count(self) -> int:
@@ -679,10 +758,11 @@ class MrcModel:
             )
         return self.offset
 
-    def score_matrix(self, X) -> np.ndarray:
+    def features(self) -> FeatureMap:
+        """The feature map, which predicting on raw instances needs."""
         if self.feature_map is None:
             raise ValueError("model carries no feature map")
-        return self.feature_map.score_matrix(X, self.weights)
+        return self.feature_map
 
 
 @dataclass(frozen=True)

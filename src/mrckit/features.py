@@ -137,9 +137,7 @@ def widths_vector(widths, dim: int) -> np.ndarray:
 def estimate_expectations(fm: FeatureMap, data: Dataset, widths) -> ExpectationBox:
     """Empirical expectations plus the +-widths/sqrt(n) interval box."""
     widths = widths_vector(widths, fm.dim)
-    atoms = ConstraintAtoms.from_indicators(
-        fm.indicator_matrix(data.instances), fm.num_classes, data.labels
-    )
+    atoms = ConstraintAtoms.from_instances(fm, data.instances, data.labels)
     return ExpectationBox(feature_mean(atoms), widths, data.n)
 
 
@@ -165,9 +163,9 @@ def hoeffding_widths(fm: FeatureMap, delta: float) -> np.ndarray:
 def constraint_atoms(fm: FeatureMap, data: Dataset) -> ConstraintAtoms:
     """The training data's table: distinct indicator patterns with label counts.
 
-    Dedup is exact bit equality, safe because entries are exactly 0/1; the
-    pattern count never exceeds n.
+    Indicators are computed for one representative row per occupied cell
+    (``FeatureMap.cells``), never for all n rows; dedup is exact bit
+    equality, safe because entries are exactly 0/1, and the pattern count
+    never exceeds n.
     """
-    return ConstraintAtoms.from_indicators(
-        fm.indicator_matrix(data.instances), fm.num_classes, data.labels
-    )
+    return ConstraintAtoms.from_instances(fm, data.instances, data.labels)

@@ -198,5 +198,4 @@ def entropy_by_minimization(loss: Loss, joint: KnownJoint, grid_step: float = 0.
 
 def atoms_from_instances(fm: FeatureMap, instances) -> ConstraintAtoms:
     """Constraint patterns of an explicit instance set (no dataset needed)."""
-    ind = fm.indicator_matrix(np.atleast_2d(np.asarray(instances, dtype=np.float64)))
-    return ConstraintAtoms.from_indicators(ind, fm.num_classes)
+    return ConstraintAtoms.from_instances(fm, instances)

@@ -13,6 +13,7 @@ from mrckit.marginals import (
     train_adversarial01,
     train_logreg,
 )
+from mrckit.oracle import atoms_from_instances
 from mrckit.solver import SolverConfig
 
 
@@ -34,6 +35,55 @@ def test_unique_rows_matches_numpy(rows, cols, pool, seed):
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
     assert np.array_equal(inverse, want_inverse.ravel())
+
+
+# threshold values drawn from a small pool so that they repeat, tie with the
+# instances and straddle both zeros
+_POOL = [-1.5, -0.0, 0.0, 0.5, 2.0, 3.25]
+_SPECIAL = [-np.inf, np.inf, np.nan, -0.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dims=st.integers(1, 4),
+    thresholds=st.lists(st.tuples(st.integers(1, 4), st.sampled_from(_POOL)), max_size=12),
+    rows=st.integers(1, 60),
+    k=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(dims=1, thresholds=[], rows=5, k=2, seed=0)  # the intercept-only map
+@example(dims=2, thresholds=[(2, 0.5), (1, -0.0), (2, 0.5), (1, 0.0)], rows=1, k=3, seed=1)
+def test_cells_reproduce_the_indicator_matrix(dims, thresholds, rows, k, seed):
+    rng = np.random.default_rng(seed)
+    fm = FeatureMap(num_classes=k, thresholds=tuple((min(d, dims), t) for d, t in thresholds))
+    values = np.array(_POOL + _SPECIAL + list(rng.normal(size=4)))
+    X = values[rng.integers(0, values.shape[0], size=(rows, dims))]
+    ind = fm.indicator_matrix(X)
+    reps, cell = fm.cells(X)
+    assert cell.shape == (rows,) and set(cell) == set(range(reps.shape[0]))
+    rep_rows = fm.indicator_matrix(reps)
+    assert np.array_equal(rep_rows[cell], ind)
+    assert unique_rows(rep_rows)[0].shape[0] == reps.shape[0]  # one pattern per cell
+
+    # the table: the same patterns, order and counts as deduplicating every row
+    labels = rng.integers(1, k + 1, rows)
+    want, inverse = unique_rows(ind)
+    assert np.array_equal(want, np.unique(ind, axis=0))
+    want_counts = np.zeros((want.shape[0], k), dtype=np.int64)
+    np.add.at(want_counts, (inverse, labels - 1), 1)
+    atoms = ConstraintAtoms.from_instances(fm, X, labels)
+    assert np.array_equal(atoms.patterns, want) and atoms.patterns.flags.c_contiguous
+    assert np.array_equal(atoms.counts, want_counts)
+    assert np.array_equal(atoms_from_instances(fm, X).patterns, want)
+
+
+def test_threshold_past_the_instance_dims_keeps_its_message():
+    fm = FeatureMap(num_classes=2, thresholds=((1, 0.0), (3, 1.0), (1, 2.0)))
+    X = np.zeros((4, 2))
+    message = "instance has 2 dims but threshold 2 needs dim 3"
+    for call in (fm.indicator_matrix, fm.cells, lambda X: ConstraintAtoms.from_instances(fm, X)):
+        with pytest.raises(ValueError, match=message):
+            call(X)
 
 
 def _row_mean(fm, data):

@@ -251,6 +251,27 @@ def test_experiment_rejects_mistyped_config(demo_csv, tmp_path, capsys, key, val
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value, named",
+    [("methods", ["mrc-log", "mrc-zero-one", "mrc-log"], "'mrc-log'"),
+     ("train_sizes", [60, 40, 60], "60")],
+    ids=["methods", "train_sizes"],
+)
+def test_experiment_rejects_repeated_entries(demo_csv, tmp_path, capsys, key, value, named):
+    # a repeat would train identical models and write duplicate CSV rows
+    train, _ = demo_csv
+    cfg_path = tmp_path / "cfg.json"
+    out = tmp_path / "r.csv"
+    cfg_path.write_text(json.dumps({
+        "dataset": train, "train_sizes": [60], "repetitions": 1, "test_size": 50,
+        "max_iters": 50, key: value,
+    }))
+    assert run(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and named in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", [["--solver", "exact"], ["--step-c", "0.3"]])
 @pytest.mark.parametrize("command", ["train", "oracle"])
 def test_solver_choice_and_step_scale_are_not_options(demo_csv, capsys, command, flag):

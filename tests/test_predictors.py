@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from mrckit.core import (
     MrcModel,
     ZeroOneLoss,
 )
+from mrckit.datasets import lattice_joint
+from mrckit.features import StumpSpec, constraint_atoms, fit_thresholds
 from mrckit.predictors import predict_labels, predict_probs, rule_probs, sample_labels
 from mrckit.solver import SolverConfig, max_offset_alpha, train_mrc
 
@@ -212,3 +215,46 @@ def test_sampling_frequencies_track_probabilities():
     probs = np.tile([[0.8, 0.2]], (4000, 1))
     draws = sample_labels(probs, seed=5)
     assert abs((draws == 1).mean() - 0.8) < 0.03
+
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["box", "pinned-marginal"])
+@pytest.mark.parametrize(
+    "loss", [ZO, LG, AlphaLoss(2.0), AlphaLoss(0.5)], ids=["0-1", "log", "alpha2", "alpha0.5"]
+)
+def test_predict_probs_is_the_rule_at_every_row_bit_for_bit(loss, pinned):
+    rng = np.random.default_rng(11)
+    joint = lattice_joint(rng, num_classes=3)
+    train = joint.sample(400, seed=11)
+    fm = fit_thresholds(train, StumpSpec(5))
+    # off-lattice rows also reach cells no training row occupies
+    X = np.vstack([joint.sample(2000, seed=12).instances, rng.normal(2.5, 3.0, (500, 2))])
+    w = rng.normal(size=fm.dim)
+    # the box's offset is feasible on the training patterns, not on every row
+    offset = None if pinned else float(loss.offset(constraint_atoms(fm, train).scores(w)).min())
+    model = make_model(loss, w, offset, fm)
+    got = predict_probs(model, X)
+    want = rule_probs(loss, fm.score_matrix(X, w), offset)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    # a row's probabilities do not depend on the rest of its batch
+    for idx in ([0], [len(X) - 1], slice(None, None, 7), rng.permutation(len(X))[:100],
+                slice(None, None, -1)):
+        part = predict_probs(model, X[idx])
+        assert np.array_equal(part.view(np.int64), got[idx].view(np.int64))
+
+
+def test_predict_probs_never_holds_the_batch_indicator_matrix():
+    n, thresholds = 50_000, tuple((d, t) for d in (1, 2) for t in np.linspace(-2.0, 2.0, 10))
+    fm = FeatureMap(num_classes=2, thresholds=thresholds)
+    model = make_model(ZO, np.random.default_rng(2).normal(size=fm.dim), -0.2, fm)
+    X = np.random.default_rng(3).normal(size=(n, 2))
+    tracemalloc.start()
+    try:
+        probs = predict_probs(model, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert probs.shape == (n, 2)
+    assert peak < n * fm.block_size * 8  # the (n, k+1) float indicator matrix
