@@ -700,6 +700,15 @@ class ConstraintAtoms:
         """Each pattern's share of the rows: the instances' empirical marginal."""
         return _frozen(self.counts.sum(axis=1) / self.n)
 
+    @cached_property
+    def regularizers(self) -> dict:
+        """The fixed-marginal half-widths widths/sqrt(n) computed on this
+        table so far, read-only, keyed by the widths' float64 (shape, bytes);
+        ``marginals`` fills it.  It holds arrays only: anything stored here
+        that refers back to the table would leave each table to the cyclic
+        garbage collector."""
+        return {}
+
     def scores(self, weights) -> np.ndarray:
         """(r, K) matrix of per-pattern, per-label linear scores."""
         W = np.asarray(weights, dtype=np.float64).reshape(

@@ -5,7 +5,9 @@ values 1..K, every other column is a numeric feature.  Blank rows are
 skipped; repeated column names and missing or non-numeric entries are
 rejected, a bad entry with its line number in the file.  Model and
 feature-map files are JSON with floats written in shortest round-trip form,
-so a save/load cycle reproduces predictions bit for bit.
+so a save/load cycle reproduces predictions bit for bit.  Their numeric
+fields must be JSON numbers, and the class count and threshold dimensions
+JSON integers; strings, booleans and fractions there are rejected.
 """
 
 from __future__ import annotations
@@ -158,10 +160,25 @@ def _read_json(path, kind):
     return obj
 
 
+def _json_number(value, what, integer=False):
+    """``value`` when it is a JSON number (an integer if ``integer``), else
+    ValueError.  Python reads true/false as the ints 1/0, so bools are
+    refused by name, as are strings and floats that ``int`` would truncate."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ValueError(f"{what} must be {'an integer' if integer else 'a number'}, not {value!r}")
+    return value
+
+
 def _feature_map(obj) -> FeatureMap:
     return FeatureMap(
-        num_classes=int(obj["num_classes"]),
-        thresholds=tuple((int(d), float(t)) for d, t in obj["thresholds"]),
+        num_classes=_json_number(obj["num_classes"], "num_classes", integer=True),
+        thresholds=tuple(
+            (
+                _json_number(d, "a threshold dimension", integer=True),
+                float(_json_number(t, "a threshold value")),
+            )
+            for d, t in obj["thresholds"]
+        ),
     )
 
 
@@ -172,16 +189,19 @@ def load_model(path):
     if not isinstance(converged, bool):  # bool("false") is True
         raise InputError(f"{path}: converged must be true or false, not {converged!r}")
     try:
+        if "alpha" in obj:
+            _json_number(obj["alpha"], "alpha")
+        fm = _feature_map(obj)
         model = MrcModel(
             loss=Loss.from_spec(obj),
-            weights=np.array(obj["mu"], dtype=np.float64),
-            offset=float(obj["nu"]) if "nu" in obj else None,
-            objective_value=float(obj["objective_value"]),
-            num_classes=int(obj["num_classes"]),
-            feature_map=_feature_map(obj),
+            weights=np.array([_json_number(v, "mu entries") for v in obj["mu"]], dtype=np.float64),
+            offset=float(_json_number(obj["nu"], "nu")) if "nu" in obj else None,
+            objective_value=float(_json_number(obj["objective_value"], "objective_value")),
+            num_classes=fm.num_classes,
+            feature_map=fm,
             converged=converged,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: malformed model file ({exc})") from exc
     if obj.get("variant") != _VARIANT_TO_JSON[model.variant]:
         raise InputError(
@@ -225,5 +245,5 @@ def load_feature_map(path) -> FeatureMap:
     obj = _read_json(path, "feature map")
     try:
         return _feature_map(obj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"cannot read feature map {path}: {exc}") from exc

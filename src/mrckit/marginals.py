@@ -9,6 +9,9 @@ L1-regularized empirical risk:
 
     (1/n) sum_i [ -phi(x_i, y_i).w - offset(w, x_i) ] + widths.|w|/sqrt(n).
 
+The regularizer widths/sqrt(n) is computed once per training table and
+widths value, not once per objective call: a fit validates its widths once.
+
 For 0-1 loss this is the minimax-hinge (adversarial zero-one) objective; for
 log loss it is exactly L1-regularized multinomial logistic regression.  Both
 identities are asserted in the test suite.
@@ -33,8 +36,22 @@ __all__ = [
 
 
 def _dual(loss: Loss, atoms: ConstraintAtoms, widths) -> ReducedDual:
-    """The fixed-marginal reduced dual of ``loss`` on the training table."""
-    reg = widths_vector(widths, atoms.dim) / np.sqrt(atoms.n)
+    """The fixed-marginal reduced dual of ``loss`` on the training table.
+
+    Its half-width widths/sqrt(n) is computed once per table and widths
+    value and kept, read-only, in ``atoms.regularizers``, so a fit, whose
+    every subgradient step calls the public objective, validates its widths
+    once.  The key is the widths as float64, shape and bytes: a value of
+    another shape is never served from the memo, and only values that pass
+    ``widths_vector`` are stored, so a bad value raises on every call.
+    """
+    w = np.asarray(widths, dtype=np.float64)
+    key = (w.shape, w.tobytes())
+    reg = atoms.regularizers.get(key)
+    if reg is None:
+        reg = widths_vector(w, atoms.dim) / np.sqrt(atoms.n)
+        reg.setflags(write=False)
+        atoms.regularizers[key] = reg
     return ReducedDual(loss, atoms, reg, feature_mean(atoms), atoms.frequencies)
 
 

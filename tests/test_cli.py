@@ -382,7 +382,9 @@ def test_predict_rejects_nan_model_exits_2(demo_csv, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "key, text", [("converged", '"false"'), ("objective_value", "NaN")], ids=["converged", "objective"]
+    "key, text",
+    [("converged", '"false"'), ("objective_value", "NaN"), ("num_classes", "2.9")],
+    ids=["converged", "objective", "num-classes"],
 )
 def test_hand_edited_model_file_exits_2(demo_csv, tmp_path, capsys, key, text):
     train, test = demo_csv

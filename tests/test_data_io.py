@@ -181,10 +181,24 @@ def test_load_model_rejects_non_finite_parameters(tmp_path, key, index, value):
         lambda obj: {**obj, "converged": "false"},  # bool("false") is True
         lambda obj: {**obj, "converged": 0},
         lambda obj: {**obj, "converged": None},
+        lambda obj: {**obj, "mu": [str(v) for v in obj["mu"]]},
+        lambda obj: {**obj, "mu": [v > 0 for v in obj["mu"]]},
+        lambda obj: {**obj, "mu": [10**400] + obj["mu"][1:]},  # too large for a float
+        lambda obj: {**obj, "nu": str(obj["nu"])},
+        lambda obj: {**obj, "nu": True},
+        lambda obj: {**obj, "objective_value": "0.5"},
+        lambda obj: {**obj, "alpha": "2.0"},
+        lambda obj: {**obj, "num_classes": 2.9},
+        lambda obj: {**obj, "num_classes": "2"},
+        lambda obj: {**obj, "thresholds": [[d, str(t)] for d, t in obj["thresholds"]]},
+        lambda obj: {**obj, "thresholds": [[d + 0.7, t] for d, t in obj["thresholds"]]},
+        lambda obj: {**obj, "thresholds": [[str(d), t] for d, t in obj["thresholds"]]},
     ],
     ids=["list", "string", "bounds-number", "no-lower", "string-upper", "infinite-lower",
          "no-variant", "unknown-variant", "expectation-without-nu", "instance-marginal-with-nu",
-         "string-converged", "number-converged", "null-converged"],
+         "string-converged", "number-converged", "null-converged", "string-mu", "boolean-mu", "huge-mu",
+         "string-nu", "boolean-nu", "string-objective", "string-alpha", "fractional-num-classes",
+         "string-num-classes", "string-threshold", "fractional-dimension", "string-dimension"],
 )
 def test_load_model_rejects_malformed_file(tmp_path, edit):
     path = tmp_path / "m.json"
@@ -209,6 +223,27 @@ def test_feature_map_roundtrip(tmp_path):
     back = load_feature_map(path)
     assert back.num_classes == 4
     assert back.thresholds == fm.thresholds
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda obj: {**obj, "num_classes": 2.9},
+        lambda obj: {**obj, "num_classes": "2"},
+        lambda obj: {**obj, "thresholds": [[1.7, 0.5]]},
+        lambda obj: {**obj, "thresholds": [["1", 0.5]]},
+        lambda obj: {**obj, "thresholds": [[1, "0.5"]]},
+        lambda obj: {**obj, "thresholds": [[1, True]]},
+    ],
+    ids=["fractional-num-classes", "string-num-classes", "fractional-dimension",
+         "string-dimension", "string-threshold", "boolean-threshold"],
+)
+def test_load_feature_map_rejects_wrongly_typed_fields(tmp_path, edit):
+    path = tmp_path / "fm.json"
+    save_feature_map(FeatureMap(num_classes=2, thresholds=((1, 0.5),)), path)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(InputError):
+        load_feature_map(path)
 
 
 def test_load_skips_blank_rows_and_keeps_line_numbers(tmp_path):

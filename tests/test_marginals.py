@@ -3,9 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mrckit.core import Dataset, FeatureMap, LogLoss, ZeroOneLoss
-from mrckit.features import constraint_atoms, fit_thresholds, StumpSpec
+from mrckit import marginals
+from mrckit.core import LOG, ZERO_ONE, Dataset, FeatureMap, LogLoss, ZeroOneLoss
+from mrckit.features import (
+    StumpSpec,
+    constraint_atoms,
+    feature_mean,
+    fit_thresholds,
+    widths_vector,
+)
 from mrckit.marginals import (
     adversarial01_objective,
     logreg_objective,
@@ -13,7 +21,13 @@ from mrckit.marginals import (
     train_adversarial01,
     train_logreg,
 )
-from mrckit.solver import SolverConfig, max_offset_log, max_offset_zero_one
+from mrckit.solver import (
+    ReducedDual,
+    SolverConfig,
+    max_offset_log,
+    max_offset_zero_one,
+    subgradient_minimize,
+)
 
 
 def random_data(rng, n=40, dim=2, k=2):
@@ -206,3 +220,87 @@ def test_fixed_marginal_zero_one_uniform_at_zero_weights():
     model = train_adversarial01(data, fm, 1e9, SolverConfig(max_iters=50))
     probs = predict_fixed_marginal(model, data.instances)
     np.testing.assert_allclose(probs, 0.5, atol=1e-6)
+
+
+def rebuilt_dual_fit(loss, data, fm, widths, cfg):
+    """Reference fixed-marginal fit that rebuilds the whole dual, its
+    regularizer widths/sqrt(n) included, at every subgradient step."""
+    atoms = constraint_atoms(fm, data)
+
+    def dual():
+        reg = widths_vector(widths, atoms.dim) / np.sqrt(atoms.n)
+        return ReducedDual(loss, atoms, reg, feature_mean(atoms), atoms.frequencies)
+
+    best_w, converged = subgradient_minimize(lambda w: dual().evaluate(w)[:2], fm.dim, cfg)
+    return dual().model(best_w, fm, converged)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), scalar=st.booleans())
+def test_fits_are_bit_identical_to_rebuilding_the_dual_per_step(k, seed, scalar):
+    rng = np.random.default_rng(seed)
+    data = random_data(rng, n=30, k=k)
+    fm = fit_thresholds(data, StumpSpec(3))
+    widths = float(rng.uniform(0.0, 1.0)) if scalar else rng.uniform(0.0, 1.0, fm.dim)
+    cfg = SolverConfig(max_iters=150)
+    for loss, trainer in ((LOG, train_logreg), (ZERO_ONE, train_adversarial01)):
+        got, ref = trainer(data, fm, widths, cfg), rebuilt_dual_fit(loss, data, fm, widths, cfg)
+        assert np.array_equal(got.weights, ref.weights)
+        assert got.objective_value == ref.objective_value
+        assert got.converged == ref.converged
+
+
+@pytest.mark.parametrize("trainer", [train_logreg, train_adversarial01])
+def test_a_fit_builds_its_regularizer_once(monkeypatch, trainer):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return widths_vector(*args)
+
+    monkeypatch.setattr(marginals, "widths_vector", counted)
+    rng = np.random.default_rng(11)
+    data = random_data(rng, k=3)
+    trainer(data, fit_thresholds(data, StumpSpec(3)), 0.25, SolverConfig(max_iters=50))
+    assert len(calls) == 1  # not once per objective call and once for the model
+
+
+def test_one_table_serves_every_widths_value_as_a_fresh_table():
+    rng = np.random.default_rng(12)
+    data = random_data(rng, k=3)
+    fm = fit_thresholds(data, StumpSpec(3))
+    atoms = constraint_atoms(fm, data)
+    w = rng.normal(size=fm.dim)
+    vector = rng.uniform(0.0, 1.0, fm.dim)
+    for widths in (0.0, 0.5, vector, list(vector), 0.0):
+        for objective in (logreg_objective, adversarial01_objective):
+            value, grad = objective(w, atoms, widths)
+            fresh_value, fresh_grad = objective(w, constraint_atoms(fm, data), widths)
+            assert value == fresh_value
+            assert np.array_equal(grad, fresh_grad)
+    assert len(atoms.regularizers) == 3  # the list shares the vector's entry
+    assert not any(reg.flags.writeable for reg in atoms.regularizers.values())
+
+
+def test_bad_widths_raise_on_every_call():
+    rng = np.random.default_rng(13)
+    data = random_data(rng, k=3)
+    fm = fit_thresholds(data, StumpSpec(3))
+    atoms = constraint_atoms(fm, data)
+    w = rng.normal(size=fm.dim)
+    vector = np.full(fm.dim, 0.5)
+    pairs = [
+        (vector, vector.reshape(1, -1)),  # same bytes, wrong shape
+        (0.0, np.zeros(1)),  # same bytes as the scalar, wrong length
+        (vector, np.full(fm.dim + 1, 0.5)),
+        (vector, -vector),
+        (0.5, -0.5),
+        (0.5, math.nan),
+        (vector, np.where(np.arange(fm.dim) == 1, math.nan, vector)),
+    ]
+    for objective in (logreg_objective, adversarial01_objective):
+        for good, bad in pairs:
+            objective(w, atoms, good)
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    objective(w, atoms, bad)
