@@ -25,6 +25,7 @@ from . import bounds as bounds_mod
 from .core import LOG, ZERO_ONE, Dataset, Loss
 from .data_io import (
     InputError,
+    array_rows,
     load_dataset,
     load_instances,
     load_model,
@@ -81,9 +82,11 @@ def _parse_widths(text, fm):
 
 
 def _box_and_atoms(fm, data, policy):
-    """The width policy's widths, the expectation box and the atom table of ``data``."""
+    """The width policy's widths, the expectation box and the atom table of
+    ``data``; the box's mean is read from the table, built once."""
     widths = _parse_widths(policy, fm)
-    return widths, estimate_expectations(fm, data, widths), constraint_atoms(fm, data)
+    atoms = constraint_atoms(fm, data)
+    return widths, estimate_expectations(fm, data, widths, atoms), atoms
 
 
 def _train_one(loss, box, atoms, cfg, fm):
@@ -137,22 +140,17 @@ def cmd_predict(args):
     X = load_instances(args.data)
     probs = predict_probs(model, X)
     labels = np.argmax(probs, axis=1) + 1
-    sampled = sample_labels(probs, args.seed) if args.seed is not None else None
     header = ["label"] + [f"prob_{y}" for y in range(1, model.num_classes + 1)]
-    if sampled is not None:
+    columns = [labels, probs]
+    if args.seed is not None:
         header.append("sampled")
-    rows = []
-    for i in range(X.shape[0]):
-        row = [int(labels[i])] + [repr(float(v)) for v in probs[i]]
-        if sampled is not None:
-            row.append(int(sampled[i]))
-        rows.append(row)
-    _write_csv(args.out, header, rows)
+        columns.append(sample_labels(probs, args.seed))
+    _write_csv(args.out, header, array_rows(*columns))
     return EXIT_OK
 
 
 def _write_csv(path, header, rows):
-    out = open(path, "w", newline="") if path else sys.stdout
+    out = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)

@@ -1,13 +1,18 @@
 """CSV and JSON persistence.
 
 CSV files carry a header; the label column is named ``label`` and holds
-values 1..K, every other column is a numeric feature.  Blank rows are
-skipped; repeated column names and missing or non-numeric entries are
-rejected, a bad entry with its line number in the file.  Model and
-feature-map files are JSON with floats written in shortest round-trip form,
-so a save/load cycle reproduces predictions bit for bit.  Their numeric
-fields must be JSON numbers, and the class count and threshold dimensions
-JSON integers; strings, booleans and fractions there are rejected.
+values 1..K, every other column is a numeric feature.  They are read as
+UTF-8, with or without a byte-order mark, and written as plain UTF-8.
+Blank rows are skipped; repeated column names, missing or non-numeric
+entries, text that is not UTF-8 and fields over the ``csv`` module's size
+limit are rejected, a bad entry with its line number in the file.  Columns
+are checked and converted over all rows at once; a row-by-row scan, run
+only when that fails, names the first bad entry.  CSV, model and
+feature-map files write floats in shortest round-trip form, so a save/load
+cycle reproduces data and predictions bit for bit.  The numeric fields of
+model and feature-map files (JSON) must be JSON numbers, and the class
+count and threshold dimensions JSON integers; strings, booleans and
+fractions there are rejected.
 """
 
 from __future__ import annotations
@@ -15,6 +20,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -25,6 +32,7 @@ __all__ = [
     "load_dataset",
     "load_instances",
     "save_dataset",
+    "array_rows",
     "save_model",
     "load_model",
     "save_feature_map",
@@ -32,6 +40,9 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+# Rows per block when writing arrays to CSV: as fast as larger blocks, whose
+# short-lived Python numbers leave more memory resident after the write.
+_BLOCK_ROWS = 256
 
 
 class InputError(Exception):
@@ -39,40 +50,73 @@ class InputError(Exception):
 
 
 def _read_table(path):
-    """The header and the (line number, row) pairs of the non-blank data rows."""
+    """The header, the non-blank data rows and the file line of each row.
+
+    Row widths and blank cells are checked over all rows at once;
+    ``_check_rows`` names the first bad row only when that check fails.
+    """
+    rows, lines = [], []
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
-            rows = [(reader.line_num, row) for row in reader if row]
+            try:
+                for row in reader:
+                    if row:
+                        rows.append(row)
+                        lines.append(reader.line_num)
+            except csv.Error as exc:
+                raise InputError(f"{path}:{reader.line_num}: {exc}") from exc
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if len(rows) < 2:
         raise InputError(f"{path}: need a header row and at least one data row")
-    header = [h.strip() for h in rows[0][1]]
+    header = [h.strip() for h in rows[0]]
     repeated = sorted({h for h in header if header.count(h) > 1})
     if repeated:
         raise InputError(f"{path}: repeated column names {repeated}")
-    body = rows[1:]
+    body, lines = rows[1:], lines[1:]
     width = len(header)
-    for line, row in body:
+    if set(map(len, body)) != {width} or not all(map(str.strip, chain.from_iterable(body))):
+        _check_rows(path, width, body, lines)
+    return header, body, lines
+
+
+def _check_rows(path, width, body, lines):
+    """Raise InputError for the first row of the wrong width or with a blank cell."""
+    for line, row in zip(lines, body):
         if len(row) != width:
             raise InputError(f"{path}:{line}: expected {width} columns, got {len(row)}")
         if any(cell.strip() == "" for cell in row):
             raise InputError(f"{path}:{line}: missing values are not supported")
-    return header, body
 
 
-def _parse_numeric(path, header, body, columns):
-    out = np.empty((len(body), len(columns)))
-    for i, (line, row) in enumerate(body):
-        for j, col in enumerate(columns):
+def _check_cells(path, header, body, lines, columns):
+    """Raise InputError for the first cell, row by row, that is not a number."""
+    for line, row in zip(lines, body):
+        for col in columns:
             cell = row[col].strip()
             try:
-                out[i, j] = float(cell)
+                float(cell)
             except ValueError as exc:
                 raise InputError(
                     f"{path}:{line}: non-numeric value {cell!r} in column {header[col]!r}"
                 ) from exc
+
+
+def _parse_numeric(path, header, body, lines, columns):
+    """The (n, len(columns)) floats ``float(cell.strip())`` of the given
+    columns, converted a column at a time; a conversion that fails leaves
+    ``_check_cells`` to name the first bad cell in file order."""
+    out = np.empty((len(body), len(columns)))
+    try:
+        for j, col in enumerate(columns):
+            cells = map(str.strip, map(itemgetter(col), body))
+            out[:, j] = np.fromiter(map(float, cells), np.float64, count=len(body))
+    except ValueError:
+        _check_cells(path, header, body, lines, columns)
+        raise
     if not np.all(np.isfinite(out)):
         raise InputError(f"{path}: non-finite values are not supported")
     return out
@@ -80,15 +124,15 @@ def _parse_numeric(path, header, body, columns):
 
 def load_dataset(path, num_classes=None) -> Dataset:
     """Read a labeled CSV; the class count defaults to the largest label seen, at least 2."""
-    header, body = _read_table(path)
+    header, body, lines = _read_table(path)
     if "label" not in header:
         raise InputError(f"{path}: no 'label' column")
     label_col = header.index("label")
     feat_cols = [j for j in range(len(header)) if j != label_col]
     if not feat_cols:
         raise InputError(f"{path}: no feature columns")
-    X = _parse_numeric(path, header, body, feat_cols)
-    raw = _parse_numeric(path, header, body, [label_col]).ravel()
+    X = _parse_numeric(path, header, body, lines, feat_cols)
+    raw = _parse_numeric(path, header, body, lines, [label_col]).ravel()
     labels = raw.astype(np.int64)
     if np.any(labels != raw):
         raise InputError(f"{path}: labels must be integers")
@@ -101,21 +145,29 @@ def load_dataset(path, num_classes=None) -> Dataset:
 
 def load_instances(path) -> np.ndarray:
     """Read the feature columns of a CSV, ignoring any label column."""
-    header, body = _read_table(path)
+    header, body, lines = _read_table(path)
     feat_cols = [j for j, h in enumerate(header) if h != "label"]
     if not feat_cols:
         raise InputError(f"{path}: no feature columns")
-    return _parse_numeric(path, header, body, feat_cols)
+    return _parse_numeric(path, header, body, lines, feat_cols)
+
+
+def array_rows(*columns):
+    """The CSV rows of (n,) and (n, m) arrays set side by side, as Python
+    ints and floats (a float is written as its shortest round-trip
+    ``repr``), made ``_BLOCK_ROWS`` rows at a time so that a writer fed from
+    here holds one block, whatever n is."""
+    n = len(columns[0])
+    for start in range(0, n, _BLOCK_ROWS):
+        block = [np.asarray(c)[start : start + _BLOCK_ROWS].astype(object) for c in columns]
+        yield from np.column_stack(block).tolist()
 
 
 def save_dataset(data: Dataset, path):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([f"f{j + 1}" for j in range(data.dim)] + ["label"])
-        for i in range(data.n):
-            writer.writerow(
-                [repr(float(v)) for v in data.instances[i]] + [int(data.labels[i])]
-            )
+        writer.writerows(array_rows(data.instances, data.labels))
 
 
 _VARIANT_TO_JSON = {"expectation": "expectation", "instance_marginal": "instance-marginal"}

@@ -134,10 +134,18 @@ def widths_vector(widths, dim: int) -> np.ndarray:
     return widths
 
 
-def estimate_expectations(fm: FeatureMap, data: Dataset, widths) -> ExpectationBox:
-    """Empirical expectations plus the +-widths/sqrt(n) interval box."""
+def estimate_expectations(fm: FeatureMap, data: Dataset, widths, atoms=None) -> ExpectationBox:
+    """Empirical expectations plus the +-widths/sqrt(n) interval box.
+
+    The mean is read from ``atoms``, the table of ``data`` under ``fm``
+    (``constraint_atoms(fm, data)``), when given, else from a table built
+    here; a table of another dimension or row count is a ValueError.
+    """
     widths = widths_vector(widths, fm.dim)
-    atoms = ConstraintAtoms.from_instances(fm, data.instances, data.labels)
+    if atoms is None:
+        atoms = ConstraintAtoms.from_instances(fm, data.instances, data.labels)
+    elif atoms.dim != fm.dim or atoms.counts is None or atoms.n != data.n:
+        raise ValueError(f"atoms is not a table of {data.n} labeled rows in dimension {fm.dim}")
     return ExpectationBox(feature_mean(atoms), widths, data.n)
 
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -11,7 +13,7 @@ import pytest
 from mrckit.cli import main
 from mrckit.core import Dataset
 from mrckit.data_io import load_model, save_dataset
-from mrckit.datasets import two_class_demo_joint
+from mrckit.datasets import lattice_joint, two_class_demo_joint
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -152,6 +154,86 @@ def test_prediction_csv_is_reingestible(demo_csv, tmp_path):
     assert load_instances(preds).shape == (200, 3)  # prob_1, prob_2, sampled
 
 
+def reference_prediction_csv(probs, sampled):
+    """The row-at-a-time prediction output ``predict`` replaced, kept as its oracle."""
+    labels = np.argmax(probs, axis=1) + 1
+    header = ["label"] + [f"prob_{y}" for y in range(1, probs.shape[1] + 1)]
+    if sampled is not None:
+        header.append("sampled")
+    rows = []
+    for i in range(probs.shape[0]):
+        row = [int(labels[i])] + [repr(float(v)) for v in probs[i]]
+        if sampled is not None:
+            row.append(int(sampled[i]))
+        rows.append(row)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue().encode()
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+@pytest.mark.parametrize("num_classes", [2, 4])
+def test_predict_output_matches_row_at_a_time_writer(tmp_path, num_classes, seed):
+    from mrckit.data_io import load_instances
+    from mrckit.predictors import predict_probs, sample_labels
+
+    if num_classes == 2:
+        joint = two_class_demo_joint()
+    else:
+        joint = lattice_joint(np.random.default_rng([1, 4]))
+    train, batch = tmp_path / "train.csv", tmp_path / "batch.csv"
+    save_dataset(joint.sample(400, seed=1), train)
+    save_dataset(joint.sample(5000, seed=2), batch)  # more rows than one write block
+    model_path, out = tmp_path / "m.json", tmp_path / "p.csv"
+    assert run(["train", "--data", str(train), "--loss", "log", "--max-iters", "200",
+                "--out", str(model_path)]) == 0
+    argv = ["predict", "--model", str(model_path), "--data", str(batch), "--out", str(out)]
+    assert run(argv + ([] if seed is None else ["--seed", str(seed)])) == 0
+    probs = predict_probs(load_model(model_path)[0], load_instances(batch))
+    assert probs.shape == (5000, num_classes)
+    sampled = None if seed is None else sample_labels(probs, seed)
+    assert out.read_bytes() == reference_prediction_csv(probs, sampled)
+
+
+def test_each_cli_fit_builds_one_atom_table(demo_csv, tmp_path, monkeypatch):
+    from mrckit import cli
+    from mrckit.core import ConstraintAtoms
+    from mrckit.data_io import load_dataset
+    from mrckit.features import StumpSpec, estimate_expectations, fit_thresholds
+
+    train, _ = demo_csv
+    data = load_dataset(train)
+    fm = fit_thresholds(data, StumpSpec(20))
+    widths, box, atoms = cli._box_and_atoms(fm, data, "0.25")
+    alone = estimate_expectations(fm, data, widths)  # builds its own table
+    assert box.mean.tobytes() == alone.mean.tobytes()
+    assert (box.widths.tobytes(), box.n) == (alone.widths.tobytes(), alone.n)
+    half = Dataset(instances=data.instances[:200], labels=data.labels[:200], num_classes=2)
+    with pytest.raises(ValueError, match="not a table"):
+        estimate_expectations(fm, half, widths, atoms)
+
+    build = ConstraintAtoms.from_instances
+    calls = []
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(ConstraintAtoms, "from_instances", classmethod(counted))
+    assert run(["train", "--data", train, "--loss", "zero-one", "--lower"]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"dataset": train, "train_sizes": [100], "repetitions": 1,
+                                    "test_size": 100, "methods": ["mrc-zero-one", "mrc-log"],
+                                    "max_iters": 200}))
+    rows = cli._run_cell((cli._experiment_config(cfg_path), data, 100, 0))
+    assert len(rows) == 2
+    assert len(calls) == 1
+
+
 def test_bounds_subcommand(demo_csv, tmp_path, capsys):
     train, _ = demo_csv
     model_path = tmp_path / "m.json"
@@ -177,6 +259,32 @@ def test_malformed_csv_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("f1,label\n1.0,\n")
     assert run(["train", "--data", str(path), "--loss", "log"]) == 2
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("f1,label\n0.5,1\ncaf\u00e9,2\n".encode("latin-1"), "bad.csv: not UTF-8 text"),
+        (b'f1,label\n0.5,1\n"' + b"1" * (csv.field_size_limit() + 1) + b'",2\n',
+         "bad.csv:3: field larger than field limit"),
+    ],
+    ids=["not-utf8", "field-over-limit"],
+)
+def test_unreadable_csv_exits_2_naming_the_file(tmp_path, capsys, content, message):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(content)
+    assert run(["train", "--data", str(path), "--loss", "log"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path}")
+    assert message in err
+
+
+def test_csv_with_byte_order_mark_trains(tmp_path, capsys):
+    path = tmp_path / "excel.csv"
+    rows = "\n".join(f"{y},{x}" for x, y in [(0.0, 1), (1.0, 1), (2.0, 2), (3.0, 2)])
+    path.write_bytes(("\ufefflabel,f1\n" + rows + "\n").encode("utf-8"))
+    assert run(["train", "--data", str(path), "--loss", "zero-one"]) == 0
+    assert capsys.readouterr().out.startswith("upper_bound ")
 
 
 def test_bad_loss_exits_2(demo_csv):

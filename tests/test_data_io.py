@@ -1,7 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mrckit.core import AlphaLoss, Dataset, FeatureMap, MrcModel, ZeroOneLoss
 from mrckit.data_io import (
@@ -55,6 +58,59 @@ def test_dataset_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.instances, data.instances)
     np.testing.assert_array_equal(back.labels, data.labels)
     assert back.num_classes == data.num_classes
+
+
+def reference_save_dataset(data, path):
+    """The row-at-a-time writer ``save_dataset`` replaced, kept as its oracle."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([f"f{j + 1}" for j in range(data.dim)] + ["label"])
+        for i in range(data.n):
+            writer.writerow(
+                [repr(float(v)) for v in data.instances[i]] + [int(data.labels[i])]
+            )
+
+
+@pytest.mark.parametrize(
+    "instances, labels",
+    [
+        ([[-0.0, 5e-324, 1.7976931348623157e308], [0.0, -5e-324, -1.7976931348623157e308]], [1, 2]),
+        ([[1.0, -3.0, 1e16], [2.0**53, 1e22, 123456789.0]], [2, 1]),
+        ([[0.1, 1e-300, 2.5]], [3]),  # one row
+        ([[0.5], [-1.25], [1e-7]], [1, 3, 2]),  # one feature
+        (np.empty((3, 0)), [1, 2, 2]),  # no features
+        # more rows than one write block, with values of every magnitude
+        (np.random.default_rng(0).normal(size=(9000, 2))
+         * 10.0 ** np.random.default_rng(1).integers(-300, 300, size=(9000, 2)),
+         np.random.default_rng(2).integers(1, 4, size=9000)),
+    ],
+    ids=["signed-zero-subnormal-max", "integer-valued", "one-row", "one-feature",
+         "no-features", "many-blocks"],
+)
+def test_save_dataset_matches_row_at_a_time_writer(tmp_path, instances, labels):
+    data = Dataset(instances=np.asarray(instances, dtype=float), labels=labels, num_classes=3)
+    save_dataset(data, tmp_path / "new.csv")
+    reference_save_dataset(data, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 4)), elements=finite),
+    st.integers(2, 5),
+    st.randoms(use_true_random=False),
+)
+def test_dataset_roundtrip_is_bit_identical(tmp_path_factory, instances, k, rnd):
+    labels = [rnd.randint(1, k) for _ in range(instances.shape[0])]
+    data = Dataset(instances=instances, labels=labels, num_classes=k)
+    path = tmp_path_factory.mktemp("roundtrip") / "d.csv"
+    save_dataset(data, path)
+    back = load_dataset(path, k)
+    assert back.instances.tobytes() == data.instances.tobytes()  # -0.0 included
+    assert back.labels.tobytes() == data.labels.tobytes()
 
 
 def test_load_rejects_missing_label_column(tmp_path):
@@ -258,6 +314,62 @@ def test_load_skips_blank_rows_and_keeps_line_numbers(tmp_path):
     # a quoted cell spanning two lines: the next row is on line 5
     path.write_text('f1,label\n"1.0\n",1\n\nx,2\n')
     with pytest.raises(InputError, match=r"blank\.csv:5: non-numeric"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "text, message, in_features",
+    [
+        # widths and blank cells over all rows come before any number
+        ("f1,label\nx,1\n1.0,2,3\n", ":3: expected 2 columns, got 3", True),
+        ("f1,label\nx,1\n2.0, \n", ":3: missing values are not supported", True),
+        ("f1,f2\nx,1\n\n2.0,\n", ":4: missing values are not supported", True),
+        ("f1,label\n1.0,\n3.0,1,2\n", ":2: missing values are not supported", True),
+        # then the feature columns, row by row
+        ("f1,f2,label\n1,x,z\ny,2,1\n", ":2: non-numeric value 'x' in column 'f2'", True),
+        ("f2,label,f1\n1,1,2\n3, 4 ,y\nz,1,1\n", ":3: non-numeric value 'y' in column 'f1'", True),
+        # then non-finite features, before the label column
+        ("f1,label\ninf,1\n1,z\n", ": non-finite values are not supported", True),
+        ("f1,label\n1,1e999\n2,z\n", ":3: non-numeric value 'z' in column 'label'", False),
+        ("f1,label\n1,1.5\n2,nan\n", ": non-finite values are not supported", False),
+        ("f1,label\n1,1.5\n2,1\n", ": labels must be integers", False),
+    ],
+)
+def test_load_reports_the_first_defect_in_file_order(tmp_path, text, message, in_features):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    for loader in (load_dataset, load_instances) if in_features else (load_dataset,):
+        with pytest.raises(InputError) as info:
+            loader(path)
+        assert str(info.value) == f"{path}{message}"
+
+
+@pytest.mark.parametrize("header", ["label,f1", "f1,label"])
+def test_load_accepts_a_byte_order_mark(tmp_path, header):
+    path = tmp_path / "bom.csv"
+    row = {"label,f1": "2,0.5", "f1,label": "0.5,2"}[header]
+    path.write_bytes(f"\ufeff{header}\n{row}\n".encode("utf-8"))
+    data = load_dataset(path)
+    np.testing.assert_array_equal(data.instances, [[0.5]])
+    np.testing.assert_array_equal(data.labels, [2])
+    np.testing.assert_array_equal(load_instances(path), [[0.5]])
+    # written back as plain UTF-8, with no mark
+    save_dataset(data, tmp_path / "out.csv")
+    assert (tmp_path / "out.csv").read_bytes() == b"f1,label\n0.5,2\n"
+
+
+def test_load_rejects_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("f1,label\n0.5,1\ncaf\u00e9,2\n".encode("latin-1"))
+    for loader in (load_dataset, load_instances):
+        with pytest.raises(InputError, match=r"latin1\.csv: not UTF-8 text"):
+            loader(path)
+
+
+def test_load_rejects_a_field_over_the_csv_size_limit(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text('f1,label\n0.5,1\n"' + "1" * (csv.field_size_limit() + 1) + '",2\n')
+    with pytest.raises(InputError, match=r"huge\.csv:3: field larger than field limit"):
         load_dataset(path)
 
 
