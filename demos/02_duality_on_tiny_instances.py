@@ -8,9 +8,8 @@ have to land on the same number, up to the grid slack.
 
 import numpy as np
 
-from mrckit.core import ExpectationBox, FeatureMap, LogLoss, ZeroOneLoss
+from mrckit.core import ConstraintAtoms, ExpectationBox, FeatureMap, LogLoss, ZeroOneLoss
 from mrckit.oracle import (
-    atoms_from_instances,
     brute_force_max_entropy,
     cell_features,
     exhaustive_minimax,
@@ -21,7 +20,7 @@ fm = FeatureMap(num_classes=2, thresholds=((1, 0.5), (1, 1.5)))
 instances = np.array([[0.0], [1.0], [2.0]])
 true_joint = np.array([[0.25, 0.05], [0.10, 0.20], [0.05, 0.35]])
 mean = true_joint.ravel() @ cell_features(fm, instances)
-atoms = atoms_from_instances(fm, instances)
+atoms = ConstraintAtoms.from_instances(fm, instances)
 
 for widths in (0.0, 0.5):
     box = ExpectationBox(mean, np.full(6, widths), 100)

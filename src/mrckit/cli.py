@@ -136,6 +136,8 @@ def cmd_train(args):
 
 
 def cmd_predict(args):
+    if args.seed is not None and args.seed < 0:
+        raise InputError(f"--seed must be a non-negative integer, got {args.seed}")
     model, _ = load_model(args.model)
     X = load_instances(args.data)
     probs = predict_probs(model, X)
@@ -227,6 +229,8 @@ def _experiment_config(path):
         raise InputError("train_sizes must be positive integers")
     if cfg["repetitions"] < 1 or cfg["test_size"] < 1:
         raise InputError("repetitions and test_size must be positive")
+    if cfg["seed"] < 0:
+        raise InputError(f"config key 'seed' must be non-negative, got {cfg['seed']}")
     bad = [m for m in cfg["methods"] if m not in METHODS]
     if bad:
         raise InputError(f"unknown methods {bad}; choose from {list(METHODS)}")

@@ -29,7 +29,6 @@ __all__ = [
     "FeatureMap",
     "ExpectationBox",
     "ConstraintAtoms",
-    "unique_rows",
     "label_blocks",
     "MrcModel",
     "BoundReport",
@@ -467,15 +466,16 @@ class FeatureMap:
         return out.T
 
     def cells(self, X):
-        """The cells of X's rows: rows in one cell share one indicator pattern.
+        """The cells of X's rows: rows share a cell just when they share a pattern.
 
         On dimension d a row's indicators are fixed by one number, how many
         of d's distinct thresholds t satisfy x <= t (0 for NaN, as every
         comparison with it is false), counted by one pass of the indicators'
         own comparison per threshold: on large batches that is many times
         faster than a binary search per row.  The counts of all dimensions
-        combine by mixed radix, compacted to the occupied cells whenever the
-        radix product would exceed n.  Returns (reps, cell): one
+        combine by mixed radix, compacted in order to the occupied cells
+        whenever the radix product would exceed n: cells ascend by their tuple
+        of per-dimension counts, dimensions ascending.  Returns (reps, cell): one
         representative row of X per occupied cell, and the cell of each row,
         so that ``indicator_matrix(reps)[cell]`` equals ``indicator_matrix(X)``.
         """
@@ -582,28 +582,6 @@ class ExpectationBox:
         return _frozen((self.upper + self.lower) / 2.0)
 
 
-def unique_rows(ind):
-    """Distinct rows of a 0/1 matrix and the index of each row among them.
-
-    The same rows, order and inverse as ``np.unique(ind, axis=0,
-    return_inverse=True)``, found by sorting packed-bit keys: packing puts
-    column 0 in the top bit, so comparing the big-endian key words compares
-    rows lexicographically.  The distinct rows are unpacked from their keys,
-    C-ordered whatever the layout of ``ind``.
-    """
-    ind = np.atleast_2d(ind)
-    bits = np.ascontiguousarray(np.packbits(ind != 0, axis=1))
-    words = np.pad(bits, ((0, 0), (0, -bits.shape[1] % 8))).view(">u8")
-    order = np.lexsort(words.T[::-1])
-    keys = words[order]
-    first = np.ones(order.shape[0], dtype=bool)
-    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(first) - 1
-    rows = np.unpackbits(keys[first].view(np.uint8), axis=1, count=ind.shape[1])
-    return rows.astype(ind.dtype), inverse
-
-
 def label_blocks(patterns, num_classes: int) -> np.ndarray:
     """Each pattern written into each label block, zeros elsewhere.
 
@@ -658,17 +636,18 @@ class ConstraintAtoms:
         """The table of X's indicator patterns under ``fm``, with label counts
         when labels (1..K) are given.
 
-        The patterns are ``unique_rows`` of the indicator rows of one
-        representative per occupied cell (``FeatureMap.cells``), and each row
-        counts at its cell's pattern.
+        Pattern j is the indicator row of cell j's representative
+        (``FeatureMap.cells``) and each row counts at its cell.  For thresholds
+        grouped by ascending dimension and strictly ascending within each, as
+        in every ``fit_thresholds`` map, cell order is ``np.unique``'s order.
         """
         reps, cell = fm.cells(X)
-        patterns, inverse = unique_rows(fm.indicator_matrix(reps))
+        # C order: a matrix product on F-ordered patterns sums differently
+        patterns = np.ascontiguousarray(fm.indicator_matrix(reps))
         counts = None
         if labels is not None:
             k, r = fm.num_classes, patterns.shape[0]
-            slots = inverse.take(cell) * k + np.asarray(labels) - 1
-            counts = np.bincount(slots, minlength=r * k).reshape(r, k)
+            counts = np.bincount(cell * k + np.asarray(labels) - 1, minlength=r * k).reshape(r, k)
         return cls(patterns=patterns, num_classes=fm.num_classes, counts=counts)
 
     @property

@@ -171,9 +171,7 @@ def hoeffding_widths(fm: FeatureMap, delta: float) -> np.ndarray:
 def constraint_atoms(fm: FeatureMap, data: Dataset) -> ConstraintAtoms:
     """The training data's table: distinct indicator patterns with label counts.
 
-    Indicators are computed for one representative row per occupied cell
-    (``FeatureMap.cells``), never for all n rows; dedup is exact bit
-    equality, safe because entries are exactly 0/1, and the pattern count
-    never exceeds n.
+    Each occupied cell (``FeatureMap.cells``) is one pattern: indicators are
+    computed once per cell, never for all n rows, and there are at most n.
     """
     return ConstraintAtoms.from_instances(fm, data.instances, data.labels)

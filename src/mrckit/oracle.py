@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from .core import ConstraintAtoms, ExpectationBox, FeatureMap, Loss, label_blocks
+from .core import ExpectationBox, FeatureMap, Loss, label_blocks
 from .datasets import KnownJoint
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "exhaustive_minimax",
     "entropy_by_minimization",
     "cell_features",
-    "atoms_from_instances",
     "compositions",
     "grid_units",
     "simplex_grid",
@@ -194,8 +193,3 @@ def entropy_by_minimization(loss: Loss, joint: KnownJoint, grid_step: float = 0.
     for row in joint.probs:
         total += (np.where(row > 0.0, table, 0.0) @ row).min()  # 0 * inf := 0
     return float(total)
-
-
-def atoms_from_instances(fm: FeatureMap, instances) -> ConstraintAtoms:
-    """Constraint patterns of an explicit instance set (no dataset needed)."""
-    return ConstraintAtoms.from_instances(fm, instances)

@@ -35,7 +35,7 @@ from mrckit.features import (
     hoeffding_widths,
 )
 from mrckit.marginals import adversarial01_objective, logreg_objective
-from mrckit.oracle import atoms_from_instances, brute_force_max_entropy, cell_features
+from mrckit.oracle import brute_force_max_entropy, cell_features
 from mrckit.predictors import (
     predict_probs,
     rule_probs,
@@ -89,7 +89,7 @@ def test_criterion_1_duality_pinch():
     start = time.time()
     worst_exact, worst_sub, worst_rel = 0.0, 0.0, 0.0
     for fm, X, box in _tiny_fixtures():
-        atoms = atoms_from_instances(fm, X)
+        atoms = ConstraintAtoms.from_instances(fm, X)
         oracle = brute_force_max_entropy(ZO, fm, X, box, grid_step=0.02)
         exact = train_zero_one_exact(box, atoms)
         sub = train_mrc(ZO, box, atoms, SolverConfig(max_iters=80000, c=0.2))

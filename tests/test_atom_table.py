@@ -1,10 +1,10 @@
-"""The atom table: dedup, label counts, label-block rows, and training on atoms."""
+"""The atom table: cells, label counts, label-block rows, and training on atoms."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mrckit.core import ConstraintAtoms, Dataset, FeatureMap, label_blocks, unique_rows
+from mrckit.core import ConstraintAtoms, Dataset, FeatureMap, label_blocks
 from mrckit.datasets import two_class_demo_joint
 from mrckit.features import StumpSpec, constraint_atoms, feature_mean, fit_thresholds
 from mrckit.marginals import (
@@ -13,28 +13,7 @@ from mrckit.marginals import (
     train_adversarial01,
     train_logreg,
 )
-from mrckit.oracle import atoms_from_instances
 from mrckit.solver import SolverConfig
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    rows=st.integers(1, 60),
-    cols=st.integers(1, 150),
-    pool=st.integers(1, 8),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(rows=1, cols=9, pool=1, seed=0)  # a single row
-@example(rows=30, cols=70, pool=1, seed=1)  # every row the same, keys of 9 bytes
-def test_unique_rows_matches_numpy(rows, cols, pool, seed):
-    rng = np.random.default_rng(seed)
-    distinct = (rng.random((pool, cols)) < rng.random()).astype(np.float64)
-    ind = distinct[rng.integers(0, pool, rows)]
-    want, want_inverse = np.unique(ind, axis=0, return_inverse=True)
-    got, inverse = unique_rows(ind)
-    assert got.dtype == want.dtype
-    assert np.array_equal(got, want)
-    assert np.array_equal(inverse, want_inverse.ravel())
 
 
 # threshold values drawn from a small pool so that they repeat, tie with the
@@ -61,20 +40,45 @@ def test_cells_reproduce_the_indicator_matrix(dims, thresholds, rows, k, seed):
     ind = fm.indicator_matrix(X)
     reps, cell = fm.cells(X)
     assert cell.shape == (rows,) and set(cell) == set(range(reps.shape[0]))
-    rep_rows = fm.indicator_matrix(reps)
-    assert np.array_equal(rep_rows[cell], ind)
-    assert unique_rows(rep_rows)[0].shape[0] == reps.shape[0]  # one pattern per cell
+    assert np.array_equal(fm.indicator_matrix(reps)[cell], ind)
 
-    # the table: the same patterns, order and counts as deduplicating every row
+    # the table: one distinct pattern per cell, in cell order, and the rows' tally
     labels = rng.integers(1, k + 1, rows)
-    want, inverse = unique_rows(ind)
-    assert np.array_equal(want, np.unique(ind, axis=0))
-    want_counts = np.zeros((want.shape[0], k), dtype=np.int64)
-    np.add.at(want_counts, (inverse, labels - 1), 1)
     atoms = ConstraintAtoms.from_instances(fm, X, labels)
-    assert np.array_equal(atoms.patterns, want) and atoms.patterns.flags.c_contiguous
+    assert atoms.patterns.flags.c_contiguous
+    assert np.unique(atoms.patterns, axis=0).shape == atoms.patterns.shape
+    assert np.array_equal(atoms.patterns, fm.indicator_matrix(reps))
+    assert np.array_equal(atoms.patterns[cell], ind)
+    want_counts = np.zeros((reps.shape[0], k), dtype=np.int64)
+    np.add.at(want_counts, (cell, labels - 1), 1)
     assert np.array_equal(atoms.counts, want_counts)
-    assert np.array_equal(atoms_from_instances(fm, X).patterns, want)
+    assert ConstraintAtoms.from_instances(fm, X).counts is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 120),
+    levels=st.lists(st.integers(1, 8), min_size=1, max_size=4),
+    k=st.integers(2, 4),
+    max_leaves=st.integers(2, 10),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, levels=[1], k=2, max_leaves=2, seed=0)  # one row, the intercept-only map
+@example(n=90, levels=[8, 1, 8, 8], k=4, max_leaves=10, seed=2)  # a constant column
+def test_fitted_maps_keep_the_lexicographic_order(n, levels, k, max_leaves, seed):
+    # fitted maps list each dimension's sorted thresholds, dimensions in turn,
+    # so cell order is np.unique's: the table matches it bit for bit
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, levels, size=(n, len(levels))) * rng.normal(size=len(levels))
+    data = Dataset(instances=X, labels=rng.integers(1, k + 1, n), num_classes=k)
+    fm = fit_thresholds(data, StumpSpec(max_leaves))
+    want, inverse = np.unique(fm.indicator_matrix(X), axis=0, return_inverse=True)
+    want_counts = np.zeros((want.shape[0], k), dtype=np.int64)
+    np.add.at(want_counts, (inverse.ravel(), data.labels - 1), 1)
+    atoms = ConstraintAtoms.from_instances(fm, X, data.labels)
+    assert atoms.patterns.flags.c_contiguous and atoms.patterns.shape == want.shape
+    assert atoms.patterns.tobytes() == want.tobytes()
+    assert np.array_equal(atoms.counts, want_counts)
 
 
 def test_threshold_past_the_instance_dims_keeps_its_message():

@@ -140,6 +140,17 @@ def test_predict_deterministic_with_seed(demo_csv, tmp_path):
     assert header == "label,prob_1,prob_2,sampled"
 
 
+def test_predict_rejects_negative_seed(demo_csv, tmp_path, capsys):
+    train, test = demo_csv
+    model_path = tmp_path / "m.json"
+    run(["train", "--data", train, "--loss", "zero-one", "--out", str(model_path)])
+    out = tmp_path / "p.csv"
+    assert run(["predict", "--model", str(model_path), "--data", test, "--seed", "-1",
+                "--out", str(out)]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_prediction_csv_is_reingestible(demo_csv, tmp_path):
     from mrckit.data_io import load_dataset, load_instances
 
@@ -347,7 +358,7 @@ def test_experiment_rejects_bad_config(tmp_path):
     "key, value",
     [("lambda", 0.25), ("max_leaves", "20"), ("step_c", "x"), ("max_iters", 2.5), ("seed", True),
      ("methods", 5), ("train_sizes", [True]), ("step_c", 0), ("step_c", -1), ("step_c", 1e400),
-     ("max_iter", 5)],
+     ("max_iter", 5), ("seed", -3)],
 )
 def test_experiment_rejects_mistyped_config(demo_csv, tmp_path, capsys, key, value):
     train, _ = demo_csv

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mrckit.core import AlphaLoss, ExpectationBox, FeatureMap, LogLoss, ZeroOneLoss
+from mrckit.core import AlphaLoss, ConstraintAtoms, ExpectationBox, FeatureMap, LogLoss, ZeroOneLoss
 from mrckit.oracle import (
-    atoms_from_instances,
     brute_force_max_entropy,
     cell_features,
     compositions,
@@ -130,7 +129,7 @@ def test_oracle_monotone_in_widths():
 @pytest.mark.parametrize("loss", [ZO, LG, AlphaLoss(2.0)])
 def test_dual_within_grid_slack_of_oracle(loss):
     fm, instances, box = three_instance_setup(0.5)
-    atoms = atoms_from_instances(fm, instances)
+    atoms = ConstraintAtoms.from_instances(fm, instances)
     oracle = brute_force_max_entropy(loss, fm, instances, box, 0.02)
     model = train_mrc(loss, box, atoms, SolverConfig(max_iters=40000, c=0.2))
     # the slack-padded grid overshoots, the dual never undershoots
@@ -147,7 +146,7 @@ def test_minimax_equals_max_entropy_within_slack():
 
 def test_minimax_with_exact_dual():
     fm, instances, box = three_instance_setup(0.0)
-    atoms = atoms_from_instances(fm, instances)
+    atoms = ConstraintAtoms.from_instances(fm, instances)
     exact = train_zero_one_exact(box, atoms)
     mm = exhaustive_minimax(ZO, fm, instances, box, 0.05, 0.05)
     # the distribution grid slack inflates the box by one step at most
