@@ -20,7 +20,6 @@ from .core import (
     ExpectationBox,
     FeatureMap,
     LogLoss,
-    LogRelativeLoss,
     Loss,
     MrcModel,
     ZeroOneLoss,
@@ -52,7 +51,6 @@ __all__ = [
     "ExpectationBox",
     "FeatureMap",
     "LogLoss",
-    "LogRelativeLoss",
     "Loss",
     "MrcModel",
     "SolverConfig",

@@ -21,7 +21,6 @@ __all__ = [
     "ZeroOneLoss",
     "LogLoss",
     "AlphaLoss",
-    "LogRelativeLoss",
     "ZERO_ONE",
     "LOG",
     "beta_of_alpha",
@@ -45,13 +44,18 @@ def beta_of_alpha(alpha: float) -> float:
     """Exponent conjugate alpha/(alpha-1) used by the alpha-loss family.
 
     Finite and nonzero for every valid alpha; >1 when alpha>1, <0 when
-    alpha<1.
+    alpha<1.  A beta that rounds to 1, as only an alpha above 2^53 (about
+    9.007e15) gives, is refused: the alpha formulas break down at the 0-1
+    loss's exponent.
     """
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
     if alpha <= 0.0 or alpha == 1.0:
         raise ValueError(f"alpha must be positive and != 1, got {alpha!r}")
-    return alpha / (alpha - 1.0)
+    beta = alpha / (alpha - 1.0)
+    if beta == 1.0:
+        raise ValueError(f"alpha {alpha!r} is too large: its beta rounds to 1 (use zero-one)")
+    return beta
 
 
 def logsumexp(v):
@@ -84,7 +88,7 @@ class Loss:
     largest feasible offset eliminates the scalar multiplier, the MRC rule
     read off the dual parameters, and the loss that rule incurs.  Scores are
     (n, K) arrays of linear scores per row and label; offsets are scalars or
-    per-row columns.  Parts a subclass does not implement raise TypeError.
+    per-row columns.  A subclass implements every method that raises here.
 
     The dual-offset formulas live in ``solver`` (which imports this module),
     so the methods reach them through that module at call time.
@@ -100,24 +104,25 @@ class Loss:
 
         Zero probabilities give +inf under the log families.
         """
-        raise TypeError(f"unsupported loss {self!r}")
+        raise NotImplementedError
 
     def entropy(self, joint) -> np.ndarray:
         """Generalized entropy of joint tables shaped (..., instances, labels)."""
-        raise TypeError(f"unsupported loss {self!r}")
+        raise NotImplementedError
 
     def rule(self, scores, offset) -> np.ndarray:
         """Conditional probability rows of the MRC rule at raw (n, K) scores, at
         a scalar ``offset`` or, for None, at each row's largest feasible one."""
-        raise TypeError(f"no prediction rule for loss {self!r}")
+        raise NotImplementedError
 
     def rule_loss(self, scores, offset) -> np.ndarray:
         """Loss of the rule's own rows at every label, shape (n, K)."""
         return self.loss_table(self.rule(scores, offset))
 
     def offset(self, scores):
-        """Largest offset keeping the dual constraint feasible, per score row."""
-        raise TypeError(f"no dual offset for loss {self!r}")
+        """Largest offset keeping the dual constraint feasible, per score row:
+        the offsets ``active_label_weights`` computes, bit for bit."""
+        return self.active_label_weights(scores)[0]
 
     def active_label_weights(self, scores):
         """Per-row offsets with, per row, the label weights of a subgradient.
@@ -131,11 +136,11 @@ class Loss:
         alpha from the bases at which the offset's rounding confirmed
         feasibility.
         """
-        raise TypeError(f"no dual offset for loss {self!r}")
+        raise NotImplementedError
 
     def residual(self, scores, offset) -> float:
         """Worst violation of the dual constraint over the score rows (<= 0 is feasible)."""
-        raise TypeError(f"no dual constraint for loss {self!r}")
+        raise NotImplementedError
 
     def to_json(self) -> dict:
         """Model-file fields naming this loss; ``from_spec`` reads them back."""
@@ -183,9 +188,6 @@ class ZeroOneLoss(Loss):
         k = v.shape[1]
         return np.where(totals > 0.0, v / np.where(totals > 0.0, totals, 1.0), 1.0 / k)
 
-    def offset(self, scores):
-        return solver.max_offset_zero_one(scores)
-
     def active_label_weights(self, scores):
         """Uniform weights on each row's minimizing label subset: the labels
         whose place in the sorted order (the inverse permutation) is below
@@ -221,9 +223,6 @@ class LogLoss(Loss):
     def rule_loss(self, scores, offset):
         """logsumexp(scores) - score, offset-free."""
         return logsumexp(scores)[:, None] - scores
-
-    def offset(self, scores):
-        return solver.max_offset_log(scores)
 
     def active_label_weights(self, scores):
         """-logsumexp and the softmax of each row, from one exponential."""
@@ -300,9 +299,6 @@ class AlphaLoss(Loss):
             out[over] = base[over] / totals[over, None]
         return out
 
-    def offset(self, scores):
-        return solver.max_offset_alpha(scores, self.alpha)
-
     def active_label_weights(self, scores):
         """Normalized derivatives ((score + offset)/beta + 1)_+^(beta-1), from
         the bases at which the offset search confirmed feasibility.  No zero
@@ -320,44 +316,6 @@ class AlphaLoss(Loss):
         return {"loss": self.name, "alpha": self.alpha}
 
 
-@dataclass(frozen=True)
-class LogRelativeLoss(Loss):
-    """Log loss measured relative to a fixed reference label distribution.
-
-    Scores and entropies only: it has no dual offset, so it cannot be trained.
-    """
-
-    reference: np.ndarray
-    name = "log-relative"
-
-    def __post_init__(self):
-        ref = _frozen(self.reference)
-        if ref.ndim != 1 or ref.size < 2:
-            raise ValueError("reference must be a 1-D distribution over >=2 labels")
-        if np.any(ref <= 0.0):
-            raise ValueError("reference must be strictly positive")
-        if abs(ref.sum() - 1.0) > 1e-12:
-            raise ValueError("reference must sum to 1 within 1e-12")
-        object.__setattr__(self, "reference", ref)
-
-    def loss_table(self, probs):
-        with np.errstate(divide="ignore"):
-            return np.log(self.reference) - np.log(np.asarray(probs, dtype=np.float64))
-
-    def entropy(self, joint):
-        """sum p(x,y) log(p(x) p0(y) / p(x,y)), with 0 log 0 = 0."""
-        p = np.asarray(joint, dtype=np.float64)
-        if self.reference.shape[0] != p.shape[-1]:
-            raise ValueError("reference distribution has the wrong number of labels")
-        px = p.sum(axis=-1, keepdims=True)
-        mask = p > 0.0
-        ratio = np.where(mask, px * self.reference / np.where(mask, p, 1.0), 1.0)
-        return np.where(mask, p * np.log(ratio), 0.0).sum(axis=(-2, -1))
-
-    def to_json(self):
-        raise ValueError(f"loss {self!r} has no file representation")
-
-
 ZERO_ONE = ZeroOneLoss()
 LOG = LogLoss()
 
@@ -372,7 +330,11 @@ class Dataset:
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.instances, dtype=np.float64))
-        y = np.asarray(self.labels, dtype=np.int64).ravel()
+        raw = np.asarray(self.labels).ravel()
+        with np.errstate(invalid="ignore"):  # NaN and inf fail the check below
+            y = raw.astype(np.int64, copy=False)
+        if raw.dtype.kind == "f" and np.any(y != raw):
+            raise ValueError("labels must be integers")
         if X.shape[0] != y.shape[0]:
             raise ValueError(f"{X.shape[0]} instances but {y.shape[0]} labels")
         if X.shape[0] < 1:
@@ -498,15 +460,8 @@ class FeatureMap:
         rep[cell] = np.arange(n)
         return X.take(rep, axis=0), cell
 
-    def vector(self, x, y: int) -> np.ndarray:
-        """Feature vector for a single (instance, label) pair."""
-        if not 1 <= y <= self.num_classes:
-            raise ValueError(f"label {y} outside 1..{self.num_classes}")
-        block = self.indicator_matrix(np.atleast_2d(x))[:1]
-        return label_blocks(block, self.num_classes)[y - 1]
-
     def score_matrix(self, X, weights) -> np.ndarray:
-        """Linear scores vector(x, y) . weights for all rows and labels, shape (n, K).
+        """Linear scores phi(x, y) . weights for all rows and labels, shape (n, K).
 
         Each score adds its weights one threshold at a time, in threshold
         order, so a row's scores depend on that row alone: a matrix product
@@ -647,7 +602,12 @@ class ConstraintAtoms:
         counts = None
         if labels is not None:
             k, r = fm.num_classes, patterns.shape[0]
-            counts = np.bincount(cell * k + np.asarray(labels) - 1, minlength=r * k).reshape(r, k)
+            labels = np.asarray(labels)
+            if labels.shape != cell.shape:
+                raise ValueError(f"labels of shape {labels.shape} for {cell.shape[0]} rows")
+            if labels.min() < 1 or labels.max() > k:
+                raise ValueError(f"labels must lie in 1..{k}")
+            counts = np.bincount(cell * k + labels - 1, minlength=r * k).reshape(r, k)
         return cls(patterns=patterns, num_classes=fm.num_classes, counts=counts)
 
     @property

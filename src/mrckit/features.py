@@ -23,7 +23,6 @@ __all__ = [
     "estimate_expectations",
     "widths_vector",
     "hoeffding_widths",
-    "widths_from_feature_range",
     "constraint_atoms",
 ]
 
@@ -139,33 +138,36 @@ def estimate_expectations(fm: FeatureMap, data: Dataset, widths, atoms=None) -> 
 
     The mean is read from ``atoms``, the table of ``data`` under ``fm``
     (``constraint_atoms(fm, data)``), when given, else from a table built
-    here; a table of another dimension or row count is a ValueError.
+    here; a table of another class count, dimension or row count is a
+    ValueError.
     """
     widths = widths_vector(widths, fm.dim)
     if atoms is None:
         atoms = ConstraintAtoms.from_instances(fm, data.instances, data.labels)
-    elif atoms.dim != fm.dim or atoms.counts is None or atoms.n != data.n:
-        raise ValueError(f"atoms is not a table of {data.n} labeled rows in dimension {fm.dim}")
+    elif (
+        atoms.num_classes != fm.num_classes
+        or atoms.dim != fm.dim
+        or atoms.counts is None
+        or atoms.n != data.n
+    ):
+        raise ValueError(
+            f"atoms is not a table of {data.n} labeled rows of {fm.num_classes} classes "
+            f"in dimension {fm.dim}"
+        )
     return ExpectationBox(feature_mean(atoms), widths, data.n)
 
 
-def widths_from_feature_range(spread, delta: float) -> np.ndarray:
-    """Interval widths d * sqrt((log m + log(2/delta)) / 2) from per-coordinate spreads."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    spread = np.asarray(spread, dtype=np.float64)
-    m = spread.shape[0]
-    return spread * math.sqrt((math.log(m) + math.log(2.0 / delta)) / 2.0)
-
-
 def hoeffding_widths(fm: FeatureMap, delta: float) -> np.ndarray:
-    """Widths making the box a level-(1-delta) confidence region for the mean.
+    """Widths making the box a level-(1-delta) confidence region for the mean:
+    sqrt((log m + log(2/delta)) / 2) in each of the m = ``fm.dim`` coordinates.
 
     Every coordinate spreads over [0, 1], not a range read from data: an
     indicator block moves between occupied and unoccupied label slots, so with
     >=2 classes each coordinate attains both 0 and 1 over all (x, y).
     """
-    return widths_from_feature_range(np.ones(fm.dim), delta)
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    return np.full(fm.dim, math.sqrt((math.log(fm.dim) + math.log(2.0 / delta)) / 2.0))
 
 
 def constraint_atoms(fm: FeatureMap, data: Dataset) -> ConstraintAtoms:

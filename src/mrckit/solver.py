@@ -309,9 +309,6 @@ class ReducedObjective(ReducedDual):
     def __init__(self, loss: Loss, box: ExpectationBox, atoms: ConstraintAtoms):
         super().__init__(loss, atoms, box.half_width, box.midpoint)
 
-    def value(self, weights) -> float:
-        return self.evaluate(weights)[0]
-
     def value_and_subgradient(self, weights):
         return self.evaluate(weights)[:2]
 

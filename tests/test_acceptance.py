@@ -309,7 +309,7 @@ def test_criterion_6_numerical_oracles():
         for i in range(4):
             e = np.zeros(4)
             e[i] = eps
-            fd[i] = (ro.value(w + e) - ro.value(w - e)) / (2 * eps)
+            fd[i] = (ro.evaluate(w + e)[0] - ro.evaluate(w - e)[0]) / (2 * eps)
         worst_grad = max(worst_grad, np.abs(grad - fd).max() / max(1.0, np.abs(fd).max()))
     ok = exact_equal and worst_alpha <= 1e-9 and worst_grad <= 1e-5
     _report(

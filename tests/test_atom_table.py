@@ -6,7 +6,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from mrckit.core import ConstraintAtoms, Dataset, FeatureMap, label_blocks
 from mrckit.datasets import two_class_demo_joint
-from mrckit.features import StumpSpec, constraint_atoms, feature_mean, fit_thresholds
+from mrckit.features import (
+    StumpSpec,
+    constraint_atoms,
+    estimate_expectations,
+    feature_mean,
+    fit_thresholds,
+)
 from mrckit.marginals import (
     adversarial01_objective,
     logreg_objective,
@@ -152,6 +158,26 @@ def test_table_rejects_bad_counts():
         ConstraintAtoms(patterns=patterns, num_classes=2, counts=[[1, -1], [0, 0]])
     with pytest.raises(ValueError):
         ConstraintAtoms(patterns=patterns, num_classes=2).n
+
+
+@pytest.mark.parametrize("labels", [[1, 3, 1, 2], [0, 2, 1, 1], [2], [1, 2, 1, 2, 1]])
+def test_table_rejects_labels_outside_the_map(labels):
+    # a bad label would count in a neighbouring cell, a single one for every row
+    fm = FeatureMap(num_classes=2, thresholds=((1, 0.5),))
+    X = np.array([[0.0], [1.0], [0.2], [0.9]])
+    with pytest.raises(ValueError, match="labels"):
+        ConstraintAtoms.from_instances(fm, X, labels)
+
+
+def test_expectations_reject_a_table_of_another_class_count():
+    # K=2 with 5 thresholds and K=3 with 3 thresholds share dimension 12
+    data = Dataset(instances=[[0.0], [1.0], [2.0], [3.0]], labels=[1, 3, 1, 2], num_classes=3)
+    fm3 = FeatureMap(num_classes=3, thresholds=((1, 0.5), (1, 1.5), (1, 2.5)))
+    fm2 = FeatureMap(num_classes=2, thresholds=tuple((1, t) for t in (0.5, 1.0, 1.5, 2.0, 2.5)))
+    assert fm2.dim == fm3.dim == 12
+    atoms2 = ConstraintAtoms.from_instances(fm2, data.instances, [1, 2, 1, 2])
+    with pytest.raises(ValueError, match="not a table"):
+        estimate_expectations(fm3, data, 0.25, atoms2)
 
 
 @pytest.mark.parametrize("trainer", [train_logreg, train_adversarial01])

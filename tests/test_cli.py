@@ -303,6 +303,12 @@ def test_bad_loss_exits_2(demo_csv):
     assert run(["train", "--data", train, "--loss", "hinge"]) == 2
 
 
+def test_alpha_whose_beta_rounds_to_one_exits_2(demo_csv, capsys):
+    train, _ = demo_csv
+    assert run(["train", "--data", train, "--loss", "alpha:1e16", "--max-iters", "5"]) == 2
+    assert "use zero-one" in capsys.readouterr().err
+
+
 def test_schema_mismatch_exits_2(demo_csv, tmp_path):
     train, _ = demo_csv
     model_path = tmp_path / "m.json"

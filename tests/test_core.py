@@ -8,7 +8,6 @@ from mrckit.core import (
     Dataset,
     ExpectationBox,
     FeatureMap,
-    LogRelativeLoss,
     MrcModel,
     BoundReport,
     ZeroOneLoss,
@@ -51,23 +50,40 @@ def test_alpha_loss_validates():
         AlphaLoss(1.0)
 
 
-def test_log_relative_checks_reference():
-    LogRelativeLoss(reference=[0.25, 0.75])
-    with pytest.raises(ValueError):
-        LogRelativeLoss(reference=[0.5, 0.6])
-    with pytest.raises(ValueError):
-        LogRelativeLoss(reference=[1.0, 0.0])
+@pytest.mark.parametrize("alpha", [1e16, 2.0**54, 1e300])
+def test_alpha_whose_beta_rounds_to_one_is_refused(alpha):
+    # at beta == 1 the subgradient weights put mass on inactive labels
+    assert alpha / (alpha - 1.0) == 1.0
+    with pytest.raises(ValueError, match="zero-one"):
+        beta_of_alpha(alpha)
+    with pytest.raises(ValueError, match="zero-one"):
+        AlphaLoss(alpha)
+
+
+def test_largest_alphas_below_beta_one_still_train():
+    loss = AlphaLoss(9e15)
+    assert loss.beta > 1.0
+    _, weights = loss.active_label_weights(np.array([[2.0, -3.0, -3.0, -3.0]]))
+    assert weights.tolist() == [[1.0, 0.0, 0.0, 0.0]]
 
 
 def test_dataset_validation():
     d = Dataset(instances=[[0.0], [1.0]], labels=[1, 2], num_classes=2)
     assert d.n == 2 and d.dim == 1
+    d = Dataset(instances=[[0.0], [1.0]], labels=[2.0, 1.0], num_classes=2)
+    assert d.labels.dtype == np.int64 and d.labels.tolist() == [2, 1]
     with pytest.raises(ValueError):
         Dataset(instances=[[0.0]], labels=[3], num_classes=2)
     with pytest.raises(ValueError):
         Dataset(instances=[[np.nan]], labels=[1], num_classes=2)
     with pytest.raises(ValueError):
         Dataset(instances=[[0.0]], labels=[1], num_classes=1)
+
+
+@pytest.mark.parametrize("labels", [[1.7, 2.2], [1.0, 1.5], [1.0, np.nan], [1.0, np.inf]])
+def test_dataset_rejects_non_integer_labels(labels):
+    with pytest.raises(ValueError, match="integers"):
+        Dataset(instances=[[0.0], [1.0]], labels=labels, num_classes=2)
 
 
 def test_dataset_immutable():
@@ -82,26 +98,29 @@ def test_feature_map_dimensions():
     assert fm.dim == 9
 
 
+def feature_vector(fm, x, y):
+    """phi(x, y): the instance's indicator block written into label y's block."""
+    return label_blocks(fm.indicator_matrix(x), fm.num_classes)[y - 1]
+
+
 def test_feature_vector_block_placement():
     fm = FeatureMap(num_classes=2, thresholds=((1, 0.5), (2, -1.0)))
-    v1 = fm.vector([0.3, 0.0], 1)
+    v1 = feature_vector(fm, [0.3, 0.0], 1)
     assert v1.tolist() == [1, 1, 0, 0, 0, 0]
-    v2 = fm.vector([0.3, 0.0], 2)
+    v2 = feature_vector(fm, [0.3, 0.0], 2)
     assert v2.tolist() == [0, 0, 0, 1, 1, 0]
 
 
 def test_feature_vector_all_indicators_fire():
     fm = FeatureMap(num_classes=2, thresholds=((1, 0.5), (2, -1.0)))
-    v = fm.vector([-10.0, -10.0], 1)
+    v = feature_vector(fm, [-10.0, -10.0], 1)
     assert v.tolist() == [1, 1, 1, 0, 0, 0]
 
 
 def test_feature_vector_dim_mismatch_is_error():
     fm = FeatureMap(num_classes=2, thresholds=((2, 0.5),))
     with pytest.raises(ValueError):
-        fm.vector([0.1], 1)
-    with pytest.raises(ValueError):
-        fm.vector([0.1, 0.2], 3)
+        fm.indicator_matrix([0.1])
 
 
 @given(
@@ -117,7 +136,7 @@ def test_feature_vector_block_structure_property(k_classes, n_th, seed):
     )
     x = rng.normal(size=1)
     for y in range(1, k_classes + 1):
-        v = fm.vector(x, y)
+        v = feature_vector(fm, x, y)
         blk = v.reshape(k_classes, fm.block_size)
         fired = int(blk[y - 1].sum())
         assert blk[y - 1][0] == 1.0

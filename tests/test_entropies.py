@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mrckit.core import AlphaLoss, Dataset, LogLoss, LogRelativeLoss, ZeroOneLoss
+from mrckit.core import AlphaLoss, Dataset, LogLoss, ZeroOneLoss
 from mrckit.datasets import KnownJoint
 from mrckit.oracle import entropy_by_minimization, simplex_grid
 from mrckit.predictors import empirical_risk
@@ -42,11 +42,6 @@ def test_score_log_zero_probability_is_inf():
     assert LG.loss_table([1.0, 0.0])[1] == math.inf
 
 
-def test_score_log_relative():
-    loss = LogRelativeLoss(reference=[0.5, 0.5])
-    assert loss.loss_table([0.25, 0.75])[0] == pytest.approx(math.log(2.0))
-
-
 def test_empirical_risk_uniform_rule_three_classes():
     data = Dataset(instances=np.zeros((6, 1)), labels=[1, 2, 3, 1, 2, 3], num_classes=3)
     rule = np.full((6, 3), 1.0 / 3.0)
@@ -76,15 +71,6 @@ def test_closed_form_uniform_2x2():
     p = joint(np.full((2, 2), 0.25))
     assert ZO.entropy(p.probs) == pytest.approx(0.5)
     assert LG.entropy(p.probs) == pytest.approx(math.log(2.0))
-
-
-def test_closed_form_log_relative_independent_is_zero():
-    # independent joint with matching reference has zero relative entropy
-    px = np.array([0.3, 0.7])
-    p0 = np.array([0.4, 0.6])
-    p = joint(np.outer(px, p0))
-    loss = LogRelativeLoss(reference=p0)
-    assert loss.entropy(p.probs) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_closed_form_point_mass_is_zero():
@@ -128,7 +114,7 @@ def test_grid_never_beats_closed_form():
 
 def test_concavity_spot_check():
     rng = np.random.default_rng(21)
-    for loss in (ZO, LG, AlphaLoss(2.0), AlphaLoss(0.5), LogRelativeLoss([0.3, 0.7])):
+    for loss in (ZO, LG, AlphaLoss(2.0), AlphaLoss(0.5)):
         for _ in range(20):
             a = random_distribution(rng, 2, 2)
             b = random_distribution(rng, 2, 2)

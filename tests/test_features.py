@@ -13,7 +13,6 @@ from mrckit.features import (
     fit_thresholds,
     hoeffding_widths,
     stump_thresholds_1d,
-    widths_from_feature_range,
 )
 
 
@@ -280,34 +279,37 @@ def test_non_finite_widths_rejected(bad):
         estimate_expectations(fm, data, bad)
 
 
-def test_width_formula_m1():
-    # d = [1], delta = 2/e^2 makes the radical exactly 1
-    lam = widths_from_feature_range(np.array([1.0]), 2.0 / np.e**2)
-    np.testing.assert_allclose(lam, [1.0])
+def test_width_formula_unit_radical():
+    # m = 2 coordinates and delta = 2m/e^2 make the radical exactly 1
+    fm = FeatureMap(num_classes=2, thresholds=())
+    np.testing.assert_allclose(hoeffding_widths(fm, 4.0 / np.e**2), [1.0, 1.0])
 
 
 def test_width_formula_isolated_log2_term():
-    # m = 1 kills the log-m term and delta -> 1 leaves log 2: sqrt(log2/2)
-    lam = widths_from_feature_range(np.array([1.0]), 1.0 - 1e-12)
-    assert lam[0] == pytest.approx(0.58870, rel=1e-4)
+    # delta -> 1 leaves log 2 as the delta term: sqrt((log 2 + log 2)/2) at m = 2
+    fm = FeatureMap(num_classes=2, thresholds=())
+    lam = hoeffding_widths(fm, 1.0 - 1e-12)
+    assert lam[0] == pytest.approx(0.83255, rel=1e-4)
 
 
 def test_width_formula_random_inputs():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        m = int(rng.integers(1, 9))
-        d = rng.random(m)
+        k = int(rng.integers(2, 5))
+        fm = FeatureMap(num_classes=k, thresholds=((1, 0.0),) * int(rng.integers(0, 4)))
+        m = fm.dim
         delta = float(rng.uniform(0.01, 0.99))
-        lam = widths_from_feature_range(d, delta)
+        lam = hoeffding_widths(fm, delta)
         np.testing.assert_allclose(
-            lam, d * np.sqrt((np.log(m) + np.log(2.0 / delta)) / 2.0)
+            lam, np.full(m, np.sqrt((np.log(m) + np.log(2.0 / delta)) / 2.0))
         )
 
 
-def test_constant_coordinate_has_zero_width():
-    lam = widths_from_feature_range(np.array([1.0, 0.0, 1.0]), 0.05)
-    assert lam[1] == 0.0
-    assert lam[0] > 0.0
+@pytest.mark.parametrize("delta", [0.0, 1.0, -0.5, 2.0])
+def test_hoeffding_widths_reject_delta_outside_unit_interval(delta):
+    fm = FeatureMap(num_classes=2, thresholds=())
+    with pytest.raises(ValueError, match="delta"):
+        hoeffding_widths(fm, delta)
 
 
 def test_hoeffding_widths_use_structural_range():

@@ -11,21 +11,23 @@ import numpy as np
 import pytest
 
 import mrckit
-from mrckit.core import AlphaLoss, LogLoss, LogRelativeLoss, Loss, ZeroOneLoss
+from mrckit import solver
+from mrckit.core import AlphaLoss, LogLoss, Loss, ZeroOneLoss
 
 SRC = Path(mrckit.__file__).resolve().parent
 
 
-def _loss_class_names():
-    names, todo = set(), [Loss]
+def _loss_subclasses():
+    classes, todo = [], list(Loss.__subclasses__())
     while todo:
         cls = todo.pop()
-        names.add(cls.__name__)
+        classes.append(cls)
         todo.extend(cls.__subclasses__())
-    return names
+    return sorted(classes, key=lambda c: c.__name__)
 
 
-LOSS_NAMES = _loss_class_names()
+LOSS_CLASSES = _loss_subclasses()
+LOSS_NAMES = {cls.__name__ for cls in [Loss, *LOSS_CLASSES]}
 
 
 def _mentions_loss_class(node):
@@ -105,17 +107,6 @@ def test_bad_specs_raise_value_error(spec):
         Loss.from_spec(spec)
 
 
-def test_log_relative_scores_and_entropies_only():
-    loss = LogRelativeLoss([0.5, 0.5])
-    assert loss.loss_table(np.array([0.25, 0.75]))[0] == pytest.approx(np.log(2.0))
-    with pytest.raises(TypeError):
-        loss.offset(np.zeros((1, 2)))
-    with pytest.raises(TypeError):
-        loss.rule(np.zeros((1, 2)), 0.0)
-    with pytest.raises(ValueError):
-        loss.to_json()
-
-
 @pytest.mark.parametrize("loss", [ZeroOneLoss(), LogLoss(), AlphaLoss(2.0), AlphaLoss(0.5)])
 def test_entropy_vectorises_over_leading_axes(loss):
     rng = np.random.default_rng(0)
@@ -126,11 +117,22 @@ def test_entropy_vectorises_over_leading_axes(loss):
     np.testing.assert_allclose(batch, [loss.entropy(t) for t in p], atol=1e-15)
 
 
+def solver_offsets(loss, scores):
+    """The loss's largest feasible offsets, straight from the ``solver`` formulas."""
+    if loss.name == "zero-one":
+        return solver.max_offset_zero_one(scores)
+    if loss.name == "log":
+        return solver.max_offset_log(scores)
+    return solver.max_offset_alpha(scores, loss.alpha)
+
+
 @pytest.mark.parametrize("loss", [ZeroOneLoss(), LogLoss(), AlphaLoss(2.0), AlphaLoss(0.5)])
 def test_active_label_weights_carry_the_offsets_exactly(loss):
     scores = np.random.default_rng(5).normal(scale=3.0, size=(30, 4))
     offsets, weights = loss.active_label_weights(scores)
-    assert np.array_equal(offsets, loss.offset(scores))
+    reference = solver_offsets(loss, scores)
+    assert np.array_equal(offsets, reference)
+    assert np.array_equal(loss.offset(scores), reference)
     np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
     if isinstance(loss, LogLoss):  # one exponential serves both: the softmax, bit for bit
         assert np.array_equal(weights, loss.rule(scores, None))
@@ -139,3 +141,31 @@ def test_active_label_weights_carry_the_offsets_exactly(loss):
         with np.errstate(divide="ignore"):
             expected = np.where(t > 0.0, t ** (loss.beta - 1.0), 0.0)
         assert np.array_equal(weights, expected / expected.sum(axis=1, keepdims=True))
+
+
+EXAMPLE_ARGS = {AlphaLoss: (2.0,)}  # losses whose constructor takes arguments
+
+
+@pytest.mark.parametrize("cls", LOSS_CLASSES, ids=lambda c: c.__name__)
+def test_every_loss_implements_the_whole_protocol(cls):
+    """Every concrete loss trains, predicts, certifies and round-trips through
+    a model file: none leaves a part of the protocol to the base class."""
+    loss = cls(*EXAMPLE_ARGS.get(cls, ()))
+    scores = np.random.default_rng(3).normal(size=(3, 4))
+    offsets = loss.offset(scores)
+    assert offsets.shape == (3,) and np.all(np.isfinite(offsets))
+    same, weights = loss.active_label_weights(scores)
+    assert np.array_equal(same, offsets)
+    assert weights.shape == (3, 4) and np.all(weights >= 0.0)
+    np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
+    for offset in (None, float(offsets.min())):
+        probs = loss.rule(scores, offset)
+        assert probs.shape == (3, 4) and np.all(probs >= 0.0)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+        assert loss.rule_loss(scores, offset).shape == (3, 4)
+    assert loss.residual(scores, float(offsets.min())) <= 1e-12  # feasible up to round-off
+    assert loss.residual(scores, float(offsets.max()) + 1.0) > 0.0
+    joint = np.random.default_rng(4).random((3, 4))
+    entropy = loss.entropy(joint / joint.sum())
+    assert np.isfinite(entropy) and entropy >= 0.0
+    assert Loss.from_spec(loss.to_json()) == loss

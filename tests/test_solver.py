@@ -144,8 +144,8 @@ def test_offset_alpha_saturates_constraint_both_signs():
 
 def test_reduced_value_at_zero():
     box, atoms = label_frequency_fixture()
-    assert ReducedObjective(ZO, box, atoms).value(np.zeros(2)) == pytest.approx(0.5)
-    assert ReducedObjective(LG, box, atoms).value(np.zeros(2)) == pytest.approx(math.log(2))
+    assert ReducedObjective(ZO, box, atoms).evaluate(np.zeros(2))[0] == pytest.approx(0.5)
+    assert ReducedObjective(LG, box, atoms).evaluate(np.zeros(2))[0] == pytest.approx(math.log(2))
 
 
 def test_reduced_value_point_box_identity():
@@ -157,7 +157,7 @@ def test_reduced_value_point_box_identity():
     for _ in range(20):
         w = rng.normal(size=atoms.dim)
         direct = -box.mean @ w - LG.offset(atoms.scores(w)).min()
-        assert ro.value(w) == pytest.approx(direct, abs=1e-12)
+        assert ro.evaluate(w)[0] == pytest.approx(direct, abs=1e-12)
 
 
 def test_interval_objective_equals_l1_regularized_point_objective():
@@ -184,8 +184,8 @@ def test_convexity_witness(loss):
         w1 = rng.normal(size=atoms.dim)
         w2 = rng.normal(size=atoms.dim)
         t = rng.random()
-        mix = ro.value(t * w1 + (1 - t) * w2)
-        assert mix <= t * ro.value(w1) + (1 - t) * ro.value(w2) + 1e-9
+        mix = ro.evaluate(t * w1 + (1 - t) * w2)[0]
+        assert mix <= t * ro.evaluate(w1)[0] + (1 - t) * ro.evaluate(w2)[0] + 1e-9
 
 
 @pytest.mark.parametrize("loss", [ZO, LG, AlphaLoss(2.0), AlphaLoss(0.5)])
@@ -197,9 +197,9 @@ def test_subgradient_inequality(loss):
     for _ in range(50):
         w = rng.normal(size=atoms.dim)
         value, grad = ro.value_and_subgradient(w)
-        assert value == pytest.approx(ro.value(w), abs=1e-9)
+        assert value == pytest.approx(ro.evaluate(w)[0], abs=1e-9)
         other = w + rng.normal(size=atoms.dim) * 0.3
-        assert ro.value(other) >= value + grad @ (other - w) - 1e-8
+        assert ro.evaluate(other)[0] >= value + grad @ (other - w) - 1e-8
 
 
 def test_log_gradient_matches_central_differences():
@@ -217,7 +217,7 @@ def test_log_gradient_matches_central_differences():
         for i in range(w.shape[0]):
             e = np.zeros_like(w)
             e[i] = eps
-            fd[i] = (ro.value(w + e) - ro.value(w - e)) / (2 * eps)
+            fd[i] = (ro.evaluate(w + e)[0] - ro.evaluate(w - e)[0]) / (2 * eps)
         denom = max(1.0, np.abs(fd).max())
         assert np.abs(grad - fd).max() / denom < 1e-5
 
@@ -263,7 +263,7 @@ def test_exact_lp_single_constant_atom():
     # hand LP: maximum entropy pulls the dominant label mass to its lower
     # endpoint, 0.6 - 0.1/sqrt(16) = 0.575, so the value is 1 - 0.575
     assert model.objective_value == pytest.approx(0.425, abs=1e-9)
-    assert ro.value(model.weights) == pytest.approx(model.objective_value)
+    assert ro.evaluate(model.weights)[0] == pytest.approx(model.objective_value)
 
 
 def test_exact_matches_subgradient_on_small_instances():
