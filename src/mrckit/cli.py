@@ -303,7 +303,7 @@ def _run_cell(payload):
             bound_cells = [repr(float(report.upper)), repr(float(report.lower))]
         else:
             trainer = train_adversarial01 if method == "adversarial-zero-one" else train_logreg
-            model = trainer(train, fm, widths, solver_cfg)
+            model = trainer(train, fm, widths, solver_cfg, atoms=atoms)
             bound_cells = ["", ""]
         risk = empirical_risk(model.loss, predict_probs(model, test.instances), test)
         rows.append([n, rep, method, repr(float(risk)), *bound_cells])

@@ -408,11 +408,20 @@ class FeatureMap:
 
     @cached_property
     def _distinct_thresholds(self) -> tuple:
-        """(dim, sorted distinct threshold values) for each dimension that has any."""
+        """(dim, sorted distinct threshold values v_1 < ... < v_m, point at
+        each count) for each dimension that has any.
+
+        A value x is at most exactly the c largest values, v_{m-c+1} .. v_m,
+        for its count c; the point at count c is v_{m-c+1} for c >= 1 and the
+        float just above v_m for c = 0, so it has every indicator x has.
+        """
         dims = sorted({d for d, _ in self.thresholds})
-        return tuple(
-            (d, np.unique([t for e, t in self.thresholds if e == d])) for d in dims
-        )
+        out = []
+        for d in dims:
+            values = np.unique([t for e, t in self.thresholds if e == d])
+            at_count = np.concatenate(([np.nextafter(values[-1], np.inf)], values[::-1]))
+            out.append((d, values, at_count))
+        return tuple(out)
 
     def indicator_matrix(self, X) -> np.ndarray:
         """Per-instance block [1, indicators] for each row of X, shape (n, k+1).
@@ -427,38 +436,76 @@ class FeatureMap:
             np.less_equal(XT[d - 1], t, out=out[j])
         return out.T
 
-    def cells(self, X):
-        """The cells of X's rows: rows share a cell just when they share a pattern.
+    def cell_ids(self, X):
+        """The cells of X's rows, numbered within a space of at most n ids.
 
-        On dimension d a row's indicators are fixed by one number, how many
-        of d's distinct thresholds t satisfy x <= t (0 for NaN, as every
-        comparison with it is false), counted by one pass of the indicators'
-        own comparison per threshold: on large batches that is many times
-        faster than a binary search per row.  The counts of all dimensions
-        combine by mixed radix, compacted in order to the occupied cells
-        whenever the radix product would exceed n: cells ascend by their tuple
-        of per-dimension counts, dimensions ascending.  Returns (reps, cell): one
-        representative row of X per occupied cell, and the cell of each row,
-        so that ``indicator_matrix(reps)[cell]`` equals ``indicator_matrix(X)``.
+        Rows share a cell just when they share a pattern.  On dimension d a
+        row's indicators are fixed by one number, its count: how many of d's
+        distinct thresholds t satisfy x <= t (0 for NaN, as every comparison
+        with it is false), counted by one pass of the indicators' own
+        comparison per threshold: on large batches that is many times faster
+        than a binary search per row.  The counts of all dimensions combine by
+        mixed radix in the smallest unsigned type that holds the space, and
+        whenever the space would exceed n the occupied ids are renumbered in
+        order, so ids ascend by the tuple of per-dimension counts, dimensions
+        ascending.
+
+        Returns (points, occupied, cell, size): ``cell[i] < size`` is row i's
+        id, ``occupied`` the ascending ids some row has, and ``points[j]`` a
+        point of cell ``occupied[j]``, its counts decoded from the id, so that
+        ``indicator_matrix(points[j])`` is the pattern of every row there.
+        Points are in general not rows of X: each coordinate is a threshold,
+        the float just above a dimension's largest, or 0.0 where no threshold
+        reads it.
         """
         X = self._instances(X)
         n = X.shape[0]
-        cell = np.zeros(n, dtype=np.intp)
-        size = 1  # every cell number is below size
-        for d, values in self._distinct_thresholds:
+        cell, size = np.zeros(n, dtype=np.uint8), 1
+        kept = []  # per dimension, the occupied ids renumbered before its combine
+        for d, values, _ in self._distinct_thresholds:
             radix = values.shape[0] + 1
+            before = None
             if size * radix > n:
-                cell, size = _compact(cell, size)
+                cell, before = _renumber(cell, size)
+                size = before.shape[0]
+            kept.append(before)
             column = np.ascontiguousarray(X[:, d - 1])
             count = np.zeros(n, dtype=np.min_scalar_type(values.shape[0]))
             for t in values:
                 count += column <= t
-            cell = cell * radix + count
+            if size == 1:
+                cell = count
+            else:
+                dt = np.min_scalar_type(max(size * radix - 1, 0))
+                cell = np.multiply(cell, dt.type(radix), dtype=dt)
+                cell += count
             size *= radix
-        cell, size = _compact(cell, size)
-        rep = np.empty(size, dtype=np.intp)
-        rep[cell] = np.arange(n)
-        return X.take(rep, axis=0), cell
+        if size > n:
+            cell, ids = _renumber(cell, size)
+            size = ids.shape[0]
+            occupied = np.arange(size)
+        else:
+            occupied = ids = np.flatnonzero(np.bincount(cell, minlength=size))
+        points = np.zeros((occupied.shape[0], X.shape[1]))
+        for (d, values, at_count), before in zip(
+            reversed(self._distinct_thresholds), reversed(kept)
+        ):
+            ids, count = np.divmod(ids, values.shape[0] + 1)
+            points[:, d - 1] = at_count[count]
+            if before is not None:
+                ids = before[ids]
+        return points, occupied, cell, size
+
+    def cells(self, X):
+        """The occupied cells of X's rows, numbered 0..c-1 in ``cell_ids``
+        order: returns (points, cell), one point per occupied cell and the
+        cell of each row, so that ``indicator_matrix(points)[cell]`` equals
+        ``indicator_matrix(X)``.  The points are in general not rows of X.
+        """
+        points, occupied, cell, size = self.cell_ids(X)
+        if occupied.shape[0] < size:
+            cell = _relabel(cell, size, occupied)
+        return points, cell
 
     def score_matrix(self, X, weights) -> np.ndarray:
         """Linear scores phi(x, y) . weights for all rows and labels, shape (n, K).
@@ -477,15 +524,18 @@ class FeatureMap:
         return np.ascontiguousarray(scores.T)
 
 
-def _compact(cell, size):
-    """Renumber cell numbers below ``size`` to 0..c-1 for the c occupied ones,
-    keeping their order; returns (cell, c)."""
-    occupied = np.zeros(size, dtype=bool)
-    occupied[cell] = True
-    count = int(np.count_nonzero(occupied))
-    ids = np.empty(size, dtype=np.intp)
-    ids[occupied] = np.arange(count)
-    return ids.take(cell), count
+def _relabel(cell, size, occupied):
+    """Cell ids below ``size`` renumbered to 0..c-1 for the c ``occupied`` ones,
+    in order, in the smallest unsigned type that holds them."""
+    ids = np.zeros(size, dtype=np.min_scalar_type(max(occupied.shape[0] - 1, 0)))
+    ids[occupied] = np.arange(occupied.shape[0])
+    return ids.take(cell)
+
+
+def _renumber(cell, size):
+    """(cell ids renumbered to the occupied ones, the occupied ids in order)."""
+    occupied = np.flatnonzero(np.bincount(cell, minlength=size))
+    return _relabel(cell, size, occupied), occupied
 
 
 @dataclass(frozen=True)
@@ -591,14 +641,14 @@ class ConstraintAtoms:
         """The table of X's indicator patterns under ``fm``, with label counts
         when labels (1..K) are given.
 
-        Pattern j is the indicator row of cell j's representative
+        Pattern j is the indicator row of cell j's point
         (``FeatureMap.cells``) and each row counts at its cell.  For thresholds
         grouped by ascending dimension and strictly ascending within each, as
         in every ``fit_thresholds`` map, cell order is ``np.unique``'s order.
         """
-        reps, cell = fm.cells(X)
+        points, cell = fm.cells(X)
         # C order: a matrix product on F-ordered patterns sums differently
-        patterns = np.ascontiguousarray(fm.indicator_matrix(reps))
+        patterns = np.ascontiguousarray(fm.indicator_matrix(points))
         counts = None
         if labels is not None:
             k, r = fm.num_classes, patterns.shape[0]
@@ -607,7 +657,8 @@ class ConstraintAtoms:
                 raise ValueError(f"labels of shape {labels.shape} for {cell.shape[0]} rows")
             if labels.min() < 1 or labels.max() > k:
                 raise ValueError(f"labels must lie in 1..{k}")
-            counts = np.bincount(cell * k + labels - 1, minlength=r * k).reshape(r, k)
+            keys = np.multiply(cell, k, dtype=np.intp) + labels - 1
+            counts = np.bincount(keys, minlength=r * k).reshape(r, k)
         return cls(patterns=patterns, num_classes=fm.num_classes, counts=counts)
 
     @property

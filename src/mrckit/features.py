@@ -21,6 +21,7 @@ __all__ = [
     "fit_thresholds",
     "stump_thresholds_1d",
     "estimate_expectations",
+    "check_atoms",
     "widths_vector",
     "hoeffding_widths",
     "constraint_atoms",
@@ -133,18 +134,10 @@ def widths_vector(widths, dim: int) -> np.ndarray:
     return widths
 
 
-def estimate_expectations(fm: FeatureMap, data: Dataset, widths, atoms=None) -> ExpectationBox:
-    """Empirical expectations plus the +-widths/sqrt(n) interval box.
-
-    The mean is read from ``atoms``, the table of ``data`` under ``fm``
-    (``constraint_atoms(fm, data)``), when given, else from a table built
-    here; a table of another class count, dimension or row count is a
-    ValueError.
-    """
-    widths = widths_vector(widths, fm.dim)
-    if atoms is None:
-        atoms = ConstraintAtoms.from_instances(fm, data.instances, data.labels)
-    elif (
+def check_atoms(fm: FeatureMap, data: Dataset, atoms: ConstraintAtoms) -> ConstraintAtoms:
+    """``atoms``, once checked to be a labelled table of as many rows as
+    ``data`` in ``fm``'s class count and dimension; ValueError otherwise."""
+    if (
         atoms.num_classes != fm.num_classes
         or atoms.dim != fm.dim
         or atoms.counts is None
@@ -154,6 +147,22 @@ def estimate_expectations(fm: FeatureMap, data: Dataset, widths, atoms=None) -> 
             f"atoms is not a table of {data.n} labeled rows of {fm.num_classes} classes "
             f"in dimension {fm.dim}"
         )
+    return atoms
+
+
+def estimate_expectations(fm: FeatureMap, data: Dataset, widths, atoms=None) -> ExpectationBox:
+    """Empirical expectations plus the +-widths/sqrt(n) interval box.
+
+    The mean is read from ``atoms``, the table of ``data`` under ``fm``
+    (``constraint_atoms(fm, data)``), when given, else from a table built
+    here; a table of another class count, dimension or row count is a
+    ValueError (``check_atoms``).
+    """
+    widths = widths_vector(widths, fm.dim)
+    if atoms is None:
+        atoms = ConstraintAtoms.from_instances(fm, data.instances, data.labels)
+    else:
+        check_atoms(fm, data, atoms)
     return ExpectationBox(feature_mean(atoms), widths, data.n)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import LOG, ZERO_ONE, ConstraintAtoms, Dataset, FeatureMap, Loss, MrcModel
-from .features import constraint_atoms, feature_mean, widths_vector
+from .features import check_atoms, constraint_atoms, feature_mean, widths_vector
 from .predictors import predict_probs
 from .solver import ReducedDual, SolverConfig, subgradient_minimize
 
@@ -69,8 +69,8 @@ def logreg_objective(weights, atoms: ConstraintAtoms, widths=0.0):
     return _dual(LOG, atoms, widths).evaluate(weights)[:2]
 
 
-def _train_fixed_marginal(loss, objective, fm, data, widths, cfg):
-    atoms = constraint_atoms(fm, data)
+def _train_fixed_marginal(loss, objective, fm, data, widths, cfg, atoms):
+    atoms = constraint_atoms(fm, data) if atoms is None else check_atoms(fm, data, atoms)
     best_w, converged = subgradient_minimize(
         lambda w: objective(w, atoms, widths), fm.dim, cfg
     )
@@ -78,17 +78,22 @@ def _train_fixed_marginal(loss, objective, fm, data, widths, cfg):
 
 
 def train_adversarial01(
-    data: Dataset, fm: FeatureMap, widths=0.0, cfg: SolverConfig = SolverConfig()
+    data: Dataset, fm: FeatureMap, widths=0.0, cfg: SolverConfig = SolverConfig(), atoms=None
 ) -> MrcModel:
-    """Adversarial 0-1 classification (minimax-hinge empirical risk + L1)."""
-    return _train_fixed_marginal(ZERO_ONE, adversarial01_objective, fm, data, widths, cfg)
+    """Adversarial 0-1 classification (minimax-hinge empirical risk + L1).
+
+    ``atoms`` is the table of ``data`` under ``fm`` when the caller has it
+    (``constraint_atoms(fm, data)``), else it is built here.
+    """
+    return _train_fixed_marginal(ZERO_ONE, adversarial01_objective, fm, data, widths, cfg, atoms)
 
 
 def train_logreg(
-    data: Dataset, fm: FeatureMap, widths=0.0, cfg: SolverConfig = SolverConfig()
+    data: Dataset, fm: FeatureMap, widths=0.0, cfg: SolverConfig = SolverConfig(), atoms=None
 ) -> MrcModel:
-    """L1-regularized multinomial logistic regression."""
-    return _train_fixed_marginal(LOG, logreg_objective, fm, data, widths, cfg)
+    """L1-regularized multinomial logistic regression; ``atoms`` as in
+    ``train_adversarial01``."""
+    return _train_fixed_marginal(LOG, logreg_objective, fm, data, widths, cfg, atoms)
 
 
 def predict_fixed_marginal(model: MrcModel, X) -> np.ndarray:

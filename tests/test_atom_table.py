@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mrckit.core import ConstraintAtoms, Dataset, FeatureMap, label_blocks
+from mrckit.core import (
+    AlphaLoss,
+    ConstraintAtoms,
+    Dataset,
+    FeatureMap,
+    LogLoss,
+    MrcModel,
+    ZeroOneLoss,
+    label_blocks,
+)
 from mrckit.datasets import two_class_demo_joint
 from mrckit.features import (
     StumpSpec,
@@ -19,6 +28,7 @@ from mrckit.marginals import (
     train_adversarial01,
     train_logreg,
 )
+from mrckit.predictors import predict_probs, rule_probs
 from mrckit.solver import SolverConfig
 
 
@@ -28,6 +38,9 @@ _POOL = [-1.5, -0.0, 0.0, 0.5, 2.0, 3.25]
 _SPECIAL = [-np.inf, np.inf, np.nan, -0.0]
 
 
+_LOSSES = [ZeroOneLoss(), LogLoss(), AlphaLoss(2.0), AlphaLoss(0.5)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     dims=st.integers(1, 4),
@@ -35,10 +48,18 @@ _SPECIAL = [-np.inf, np.inf, np.nan, -0.0]
     rows=st.integers(1, 60),
     k=st.integers(2, 4),
     seed=st.integers(0, 2**32 - 1),
+    loss=st.sampled_from(_LOSSES),
+    pinned=st.booleans(),
 )
-@example(dims=1, thresholds=[], rows=5, k=2, seed=0)  # the intercept-only map
-@example(dims=2, thresholds=[(2, 0.5), (1, -0.0), (2, 0.5), (1, 0.0)], rows=1, k=3, seed=1)
-def test_cells_reproduce_the_indicator_matrix(dims, thresholds, rows, k, seed):
+# the intercept-only map
+@example(dims=1, thresholds=[], rows=5, k=2, seed=0, loss=_LOSSES[0], pinned=False)
+@example(dims=2, thresholds=[(2, 0.5), (1, -0.0), (2, 0.5), (1, 0.0)], rows=1, k=3, seed=1,
+         loss=_LOSSES[1], pinned=True)
+# four dimensions whose radix product 3^4 exceeds the rows: cells renumber
+# inside the counting loop and their points are decoded through it
+@example(dims=4, thresholds=[(d, t) for d in (1, 2, 3, 4) for t in (-0.0, 2.0)], rows=20, k=2,
+         seed=2, loss=_LOSSES[3], pinned=False)
+def test_cells_reproduce_the_indicator_matrix(dims, thresholds, rows, k, seed, loss, pinned):
     rng = np.random.default_rng(seed)
     fm = FeatureMap(num_classes=k, thresholds=tuple((min(d, dims), t) for d, t in thresholds))
     values = np.array(_POOL + _SPECIAL + list(rng.normal(size=4)))
@@ -59,6 +80,16 @@ def test_cells_reproduce_the_indicator_matrix(dims, thresholds, rows, k, seed):
     np.add.at(want_counts, (cell, labels - 1), 1)
     assert np.array_equal(atoms.counts, want_counts)
     assert ConstraintAtoms.from_instances(fm, X).counts is None
+
+    # prediction scores each cell at its decoded point: the rule at every row's
+    # own scores, bit for bit, with a box offset feasible on the table or each
+    # row's own
+    w = rng.normal(size=fm.dim)
+    offset = None if pinned else float(loss.offset(atoms.scores(w)).min())
+    model = MrcModel(loss=loss, weights=w, offset=offset, objective_value=0.0,
+                     num_classes=k, feature_map=fm)
+    want = rule_probs(loss, fm.score_matrix(X, w), offset)
+    assert predict_probs(model, X).tobytes() == want.tobytes()
 
 
 @settings(max_examples=150, deadline=None)

@@ -243,6 +243,13 @@ def test_each_cli_fit_builds_one_atom_table(demo_csv, tmp_path, monkeypatch):
     rows = cli._run_cell((cli._experiment_config(cfg_path), data, 100, 0))
     assert len(rows) == 2
     assert len(calls) == 1
+    # all four methods: the fixed-marginal trainers take the cell's table too
+    calls.clear()
+    cfg_path.write_text(json.dumps({"dataset": train, "train_sizes": [100], "repetitions": 1,
+                                    "test_size": 100, "max_iters": 200}))
+    rows = cli._run_cell((cli._experiment_config(cfg_path), data, 100, 0))
+    assert len(rows) == 4
+    assert len(calls) == 1
 
 
 def test_bounds_subcommand(demo_csv, tmp_path, capsys):

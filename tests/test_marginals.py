@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mrckit import marginals
-from mrckit.core import LOG, ZERO_ONE, Dataset, FeatureMap, LogLoss, ZeroOneLoss
+from mrckit.core import LOG, ZERO_ONE, ConstraintAtoms, Dataset, FeatureMap, LogLoss, ZeroOneLoss
 from mrckit.features import (
     StumpSpec,
     constraint_atoms,
@@ -263,6 +263,33 @@ def test_a_fit_builds_its_regularizer_once(monkeypatch, trainer):
     data = random_data(rng, k=3)
     trainer(data, fit_thresholds(data, StumpSpec(3)), 0.25, SolverConfig(max_iters=50))
     assert len(calls) == 1  # not once per objective call and once for the model
+
+
+@pytest.mark.parametrize("trainer", [train_logreg, train_adversarial01])
+def test_a_fit_takes_the_callers_table(trainer):
+    rng = np.random.default_rng(14)
+    data = random_data(rng, k=3)
+    fm = fit_thresholds(data, StumpSpec(3))
+    cfg = SolverConfig(max_iters=50)
+    own = trainer(data, fm, 0.25, cfg)
+    given = trainer(data, fm, 0.25, cfg, atoms=constraint_atoms(fm, data))
+    assert np.array_equal(given.weights, own.weights)
+    assert given.objective_value == own.objective_value
+
+    half = Dataset(instances=data.instances[:20], labels=data.labels[:20], num_classes=3)
+    two = Dataset(instances=data.instances, labels=np.where(data.labels == 3, 1, data.labels),
+                  num_classes=2)
+    other = fit_thresholds(data, StumpSpec(2))
+    mismatched = [
+        constraint_atoms(fm, half),  # another row count
+        constraint_atoms(fit_thresholds(two, StumpSpec(3)), two),  # another class count
+        constraint_atoms(other, data),  # another dimension
+        ConstraintAtoms.from_instances(fm, data.instances),  # no label counts
+    ]
+    assert other.dim != fm.dim
+    for atoms in mismatched:
+        with pytest.raises(ValueError, match="not a table"):
+            trainer(data, fm, 0.25, cfg, atoms=atoms)
 
 
 def test_one_table_serves_every_widths_value_as_a_fresh_table():

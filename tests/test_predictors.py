@@ -246,15 +246,25 @@ def test_predict_probs_is_the_rule_at_every_row_bit_for_bit(loss, pinned):
 
 
 def test_predict_probs_never_holds_the_batch_indicator_matrix():
-    n, thresholds = 50_000, tuple((d, t) for d in (1, 2) for t in np.linspace(-2.0, 2.0, 10))
-    fm = FeatureMap(num_classes=2, thresholds=thresholds)
-    model = make_model(ZO, np.random.default_rng(2).normal(size=fm.dim), -0.2, fm)
-    X = np.random.default_rng(3).normal(size=(n, 2))
-    tracemalloc.start()
-    try:
-        probs = predict_probs(model, X)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert probs.shape == (n, 2)
-    assert peak < n * fm.block_size * 8  # the (n, k+1) float indicator matrix
+    n = 50_000
+    rng = np.random.default_rng(3)
+    maps = [
+        # 2 x 10 thresholds on normal rows
+        (tuple((d, t) for d in (1, 2) for t in np.linspace(-2.0, 2.0, 10)),
+         rng.normal(size=(n, 2))),
+        # 6 x 19 thresholds: a cell space of 20^6, far more than n, so no
+        # table may span it; rows take few values, so few cells are occupied
+        (tuple((d, t) for d in range(1, 7) for t in np.linspace(-2.0, 2.0, 19)),
+         rng.integers(-1, 2, size=(n, 6)) * 1.1),
+    ]
+    for thresholds, X in maps:
+        fm = FeatureMap(num_classes=2, thresholds=thresholds)
+        model = make_model(ZO, np.random.default_rng(2).normal(size=fm.dim), -0.2, fm)
+        tracemalloc.start()
+        try:
+            probs = predict_probs(model, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert probs.shape == (n, 2)
+        assert peak < n * fm.block_size * 8  # the (n, k+1) float indicator matrix
