@@ -20,7 +20,7 @@ from mrckit.features import (
     hoeffding_widths,
 )
 from mrckit.predictors import predict_probs
-from mrckit.solver import SolverConfig, train_mrc, train_zero_one_exact
+from mrckit.solver import SolverConfig, train_mrc
 
 joint = two_class_demo_joint()
 train = joint.sample(400, seed=7)
@@ -38,10 +38,7 @@ for label, widths in (
     box = estimate_expectations(fm, train, widths)
     print(f"=== {label} ===")
     for loss in (ZeroOneLoss(), LogLoss(), AlphaLoss(2.0)):
-        if isinstance(loss, ZeroOneLoss):
-            model = train_zero_one_exact(box, atoms, cfg, feature_map=fm)
-        else:
-            model = train_mrc(loss, box, atoms, cfg, feature_map=fm)
+        model = train_mrc(loss, box, atoms, cfg, feature_map=fm)
         report = bound_report(model, box, atoms)
         risk = joint.exact_risk(loss, predict_probs(model, joint.instances))
         inside = report.lower <= risk <= report.upper

@@ -2,9 +2,9 @@
 
 Subcommands: featurize, train, predict, eval, bounds, experiment, oracle.
 Exit codes: 0 success, 2 malformed input, 3 numeric failure under --strict.
-Every fit builds its widths, box and atom table in ``_box_and_atoms``; 0-1 loss
-trains on the exact LP when ``solver.exact_lp_fits`` admits it, else like other
-losses.  ``experiment`` runs its (train size, repetition) cells in a process
+Every fit builds its widths, box and atom table in ``_box_and_atoms`` and
+trains by ``solver.train_mrc``, exactly for 0-1 loss at any class count.
+``experiment`` runs its (train size, repetition) cells in a process
 pool of at most one worker per cell, capped by MRC_THREADS (unset or 0: every
 core; 1: in-process).
 """
@@ -43,7 +43,8 @@ from .features import (
 from .marginals import train_adversarial01, train_logreg
 from .oracle import brute_force_max_entropy, grid_units
 from .predictors import empirical_risk, predict_probs, sample_labels
-from .solver import SolverConfig, exact_lp_fits, train_mrc, train_zero_one_exact
+from .solver import SolverConfig, train_mrc
+from .solver import train_zero_one_exact  # unused here: perfbench/tracing.py wraps it by name
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -89,12 +90,6 @@ def _box_and_atoms(fm, data, policy):
     return widths, estimate_expectations(fm, data, widths, atoms), atoms
 
 
-def _train_one(loss, box, atoms, cfg, fm):
-    if loss == ZERO_ONE and exact_lp_fits(atoms):
-        return train_zero_one_exact(box, atoms, cfg, feature_map=fm)
-    return train_mrc(loss, box, atoms, cfg, feature_map=fm)
-
-
 def _add_solver_flags(p):
     p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
     p.add_argument("--max-leaves", type=int, default=20)
@@ -115,7 +110,7 @@ def cmd_train(args):
     loss = Loss.from_spec(args.loss)
     fm = fit_thresholds(data, StumpSpec(args.max_leaves))
     _, box, atoms = _box_and_atoms(fm, data, getattr(args, "lambda"))
-    model = _train_one(loss, box, atoms, cfg, fm)
+    model = train_mrc(loss, box, atoms, cfg, feature_map=fm)
     upper = bounds_mod.upper_bound(model, box)
     stored = None
     print(f"upper_bound {upper!r}")
@@ -298,7 +293,7 @@ def _run_cell(payload):
     for method in cfg["methods"]:
         if method in ("mrc-zero-one", "mrc-log"):
             loss = ZERO_ONE if method == "mrc-zero-one" else LOG
-            model = _train_one(loss, box, atoms, solver_cfg, fm)
+            model = train_mrc(loss, box, atoms, solver_cfg, feature_map=fm)
             report = bounds_mod.bound_report(model, box, atoms)
             bound_cells = [repr(float(report.upper)), repr(float(report.lower))]
         else:
@@ -344,7 +339,7 @@ def cmd_oracle(args):
         )
     _, box, atoms = _box_and_atoms(fm, data, getattr(args, "lambda"))
     value = brute_force_max_entropy(loss, fm, distinct, box, args.grid_step)
-    model = _train_one(loss, box, atoms, cfg, fm)
+    model = train_mrc(loss, box, atoms, cfg, feature_map=fm)
     print(f"brute_force_max_entropy {value!r}")
     print(f"dual_objective {model.objective_value!r}")
     return EXIT_OK

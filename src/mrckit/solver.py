@@ -15,9 +15,11 @@ minimizes
     F(w) = half_width . |w| - midpoint . w - q . offsets(w),
 
 with q one-hot at the smallest offset for the box alone, or the pattern
-frequencies when the instances' marginal is pinned too, by subgradient
-descent (all losses) or, for the box with 0-1 loss, exactly via the
-subset-constraint LP while its rows fit (``exact_lp_fits``).
+frequencies when the instances' marginal is pinned too.  For the box with
+0-1 loss F is piecewise linear and its minimum an LP over one row per
+(pattern, label subset), which ``train_zero_one_exact`` solves exactly for
+any class count by generating only the subset rows the optimum needs; every
+other dual is minimized by subgradient descent.
 """
 
 from __future__ import annotations
@@ -51,19 +53,23 @@ __all__ = [
     "subgradient_minimize",
     "train_mrc",
     "solve_box_lp",
-    "exact_lp_fits",
     "train_zero_one_exact",
     "dual_feasibility_residual",
 ]
 
 
 CONVERGENCE_TOL = 1e-6  # relative best-value gain over the trailing window
-MAX_EXACT_LP_ROWS = 4095  # 2^12 - 1: one pattern at 12 classes peaks at 4-11 MB (dim 12-48)
+# a pattern whose offset lies below the LP's by more than this, relative to
+# 1 + |offset|, gets its subset row; the simplex leaves rows violated by at
+# most 1e-11, so a row once added is never found short again
+CUT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration budget and step scale c (API only) of the c/sqrt(t) subgradient steps."""
+    """Iteration budget and step scale c (API only) of the c/sqrt(t) subgradient
+    steps.  Exact 0-1 training reads ``max_iters`` as its cap on rounds of
+    constraint generation."""
 
     max_iters: int = 20000
     c: float = 0.3
@@ -344,10 +350,13 @@ def train_mrc(
     cfg: SolverConfig = SolverConfig(),
     feature_map=None,
 ) -> MrcModel:
-    """Minimize the reduced dual by subgradient descent, keeping the best iterate.
+    """Minimize the reduced dual: exactly for 0-1 loss (``train_zero_one_exact``),
+    else by subgradient descent keeping the best iterate.
 
     Non-convergence within the budget is reported on the model, not raised.
     """
+    if loss == ZERO_ONE:
+        return train_zero_one_exact(box, atoms, cfg, feature_map)
     objective = ReducedObjective(loss, box, atoms)
     best_w, converged = subgradient_minimize(
         objective.value_and_subgradient, box.dim, cfg
@@ -355,7 +364,7 @@ def train_mrc(
     return objective.model(best_w, feature_map, converged)
 
 
-def solve_box_lp(box: ExpectationBox, rows, sizes, rhs, solve_lp):
+def solve_box_lp(box: ExpectationBox, rows, sizes, rhs, solve_lp, cuts=None):
     """The box's dual as one LP, solved by ``solve_lp``:
 
         L(t) = min half_width.|w| - midpoint.w - o   s.t.  rows.w + sizes*o <= t
@@ -363,38 +372,49 @@ def solve_box_lp(box: ExpectationBox, rows, sizes, rhs, solve_lp):
     over columns [w+, w-, u+, u-] >= 0, with w = w+ - w- and the offset
     written u = o + shift for the smallest shift >= 0 that makes every
     right-hand side t + sizes*shift non-negative, as ``solve_lp`` requires.
-    ``sizes`` must be positive.  Returns the weights and L(t).  Training and
-    the bound programs pass their own module's ``solve_lp``, so profiles tell
+    ``sizes`` must be positive.  ``cuts(w, o)``, when given, is called at
+    each optimum and returns further (rows, sizes, t), or None when it has
+    none.  Returns the weights and L(t) over all rows.  Training and the
+    bound programs pass their own module's ``solve_lp``, so profiles tell
     their LPs apart.
+
+    ``solve_lp`` always gets a cuts callback, one that returns None when
+    the caller has no cuts, so that it seeks its first optimum with
+    perturbed right-hand sides: wherever t vanishes (training's starting
+    rows, a 0-1 model's zero losses) many rows meet at one vertex, and
+    unperturbed pivots stall there, or end in a false "unbounded".
     """
     sizes = np.broadcast_to(sizes, rhs.shape)
     shift = max(0.0, float(np.max(-rhs / sizes)))
-    A = np.hstack([rows, -rows, sizes[:, None], -sizes[:, None]])
+    m = box.dim
+
+    def columns(rows, sizes):
+        return np.hstack([rows, -rows, sizes[:, None], -sizes[:, None]])
+
+    def lp_cuts(x):
+        if cuts is None:
+            return None
+        found = cuts(x[:m] - x[m : 2 * m], x[2 * m] - x[2 * m + 1] - shift)
+        if found is None:
+            return None
+        rows, sizes, t = found
+        return columns(rows, sizes), t + sizes * shift
+
     c = np.concatenate(
         [box.half_width - box.midpoint, box.half_width + box.midpoint, [-1.0, 1.0]]
     )
-    res = solve_lp(c, A, rhs + sizes * shift)
+    res = solve_lp(c, columns(rows, sizes), rhs + sizes * shift, cuts=lp_cuts)
     if res.status != OPTIMAL:
-        # always feasible (zero weights, a small enough offset), so a
-        # non-optimal status is an unbounded descent: by duality the box
-        # admits no distribution on the patterns.  Boxes built from data
-        # always contain the empirical distribution.
+        # always feasible (zero weights, a small enough offset, satisfy any
+        # rows of positive sizes), so a non-optimal status is an unbounded
+        # descent: by duality the box admits no distribution on the
+        # patterns.  Boxes built from data always contain the empirical
+        # distribution.
         raise RuntimeError(
             f"box LP {res.status}: the box excludes every distribution "
             "supported on the constraint patterns"
         )
-    m = box.dim
     return res.x[:m] - res.x[m : 2 * m], res.value + shift
-
-
-def _exact_lp_rows(atoms: ConstraintAtoms) -> int:
-    return atoms.count * (2**atoms.num_classes - 1)  # patterns x nonempty label subsets
-
-
-def exact_lp_fits(atoms: ConstraintAtoms) -> bool:
-    """Whether ``train_zero_one_exact`` admits these atoms: its rows, and with
-    them the tableau and the pivot count, grow as 2^K in the classes."""
-    return _exact_lp_rows(atoms) <= MAX_EXACT_LP_ROWS
 
 
 def train_zero_one_exact(
@@ -403,26 +423,49 @@ def train_zero_one_exact(
     cfg: SolverConfig = SolverConfig(),
     feature_map=None,
 ) -> MrcModel:
-    """Exact 0-1 training: the box LP with one row per (pattern, label subset S),
+    """Exact 0-1 training: the box LP over the rows, one per pattern j and
+    nonempty label subset S,
 
         sum_{y in S} f_j(y).w + |S| o <= 1 - |S|,
 
-    which linearizes the positive parts of the 0-1 dual constraint.  Raises
-    ValueError unless its r * (2^K - 1) rows fit (``exact_lp_fits``).
+    which linearize the positive parts of the 0-1 dual constraint, grown by
+    constraint generation (as Bondugula, Mazuelas & Perez, UAI 2023).  The
+    LP starts from the singletons, the r*K label-block rows.  Each round
+    evaluates F at the LP's weights and adds, for every pattern whose offset
+    lies below the LP's o by more than ``CUT_TOL``, the row of its minimizing
+    subset, the sorted prefix of ``max_offset_zero_one``: an exact
+    separation oracle, so at most r rows join per round.  The simplex
+    resumes from its basis after each round.  ``cfg.max_iters`` caps the
+    rounds; ``converged`` means no row was violated, which certifies the
+    optimum, and a run that the cap cut returns its best round.
     """
-    if not exact_lp_fits(atoms):
-        raise ValueError(
-            f"exact LP of {_exact_lp_rows(atoms)} rows exceeds its cap of {MAX_EXACT_LP_ROWS}"
-        )
     K = atoms.num_classes
-    m = atoms.dim
-    # row s - 1 marks the labels of subset s, bit y of s standing for label y
-    masks = ((np.arange(1, 2**K)[:, None] >> np.arange(K)) & 1).astype(np.float64)
-    sizes = np.tile(masks.sum(axis=1), atoms.count)
-    # row (j, S): the sum over labels in S of pattern j's label-block vectors
-    rows = (masks @ label_blocks(atoms.patterns, K).reshape(-1, K, m)).reshape(-1, m)
-    w, _ = solve_box_lp(box, rows, sizes, 1.0 - sizes, solve_lp)
-    return ReducedObjective(ZERO_ONE, box, atoms).model(w, feature_map)
+    blocks = label_blocks(atoms.patterns, K)
+    objective = ReducedObjective(ZERO_ONE, box, atoms)
+    rounds = 0
+    best_value, best_w = math.inf, None
+    converged = False
+
+    def cuts(w, o):
+        nonlocal rounds, best_value, best_w, converged
+        rounds += 1
+        value, _ = objective.value_and_subgradient(w)
+        if value < best_value:
+            best_value, best_w = value, w
+        offsets, order, sizes = max_offset_zero_one(atoms.scores(w), return_support=True)
+        short = (offsets < o - CUT_TOL * (1.0 + abs(o))).nonzero()[0]
+        converged = short.size == 0
+        if converged or rounds >= cfg.max_iters:
+            return None
+        sizes = sizes[short].astype(np.float64)
+        # the first |S| labels of each short pattern's score order
+        members = np.zeros((short.size, K))
+        np.put_along_axis(members, order[short], np.arange(K) < sizes[:, None], axis=1)
+        rows = (members[:, :, None] * atoms.patterns[short, None, :]).reshape(short.size, -1)
+        return rows, sizes, 1.0 - sizes
+
+    solve_box_lp(box, blocks, 1.0, np.zeros(len(blocks)), solve_lp, cuts)
+    return objective.model(best_w, feature_map, converged)
 
 
 def dual_feasibility_residual(model: MrcModel, atoms: ConstraintAtoms) -> float:

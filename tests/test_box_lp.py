@@ -129,9 +129,9 @@ def test_every_box_lp_shares_one_cost_and_starts_feasible(num_classes, monkeypat
     captured = []
 
     def recording(solve_lp):
-        def record(c, A, b):
+        def record(c, A, b, cuts=None):
             captured.append((np.array(c), np.array(b)))
-            return solve_lp(c, A, b)
+            return solve_lp(c, A, b, cuts)
 
         return record
 

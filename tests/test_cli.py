@@ -647,38 +647,50 @@ def test_bounds_on_model_with_infeasible_offset_exits_2(demo_csv, tmp_path, caps
 
 def twelve_class_table():
     """1200 rows, one feature uniform on 0..11, label = feature + 1 with
-    probability 0.8 (else uniform): 12 patterns, so an exact 0-1 LP of
-    12 * (2^12 - 1) = 49 140 rows, twelve times the exact LP's row cap."""
+    probability 0.8 (else uniform): 12 patterns, so a full 0-1 subset LP of
+    12 * (2^12 - 1) = 49 140 rows."""
     rng = np.random.default_rng(0)
     x = rng.integers(0, 12, 1200)
     labels = np.where(rng.random(1200) < 0.8, x + 1, rng.integers(1, 13, 1200))
     return Dataset(instances=x[:, None].astype(np.float64), labels=labels, num_classes=12)
 
 
-def test_zero_one_trains_by_subgradient_when_the_exact_lp_is_too_large(tmp_path):
+def test_zero_one_trains_exactly_at_twelve_classes(tmp_path):
     path = tmp_path / "twelve.csv"
     save_dataset(twelve_class_table(), path)
-    done = _cli_in_child(["train", "--data", str(path), "--loss", "zero-one"], 2 << 30, 60)
+    argv = ["train", "--data", str(path), "--loss", "zero-one", "--lower", "--strict"]
+    done = _cli_in_child(argv, 2 << 30, 60)
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stderr
-    assert done.stdout.startswith("upper_bound ")
+    upper, lower = done.stdout.splitlines()
+    assert upper.startswith("upper_bound ") and lower.startswith("lower_bound ")
 
 
-def test_exact_lp_refuses_before_building_rows(monkeypatch):
+def test_exact_lp_adds_at_most_one_row_per_pattern_per_round(monkeypatch):
     from mrckit import solver
     from mrckit.features import StumpSpec, constraint_atoms, estimate_expectations, fit_thresholds
+    from mrckit.simplex import solve_lp
 
     data = twelve_class_table()
     fm = fit_thresholds(data, StumpSpec(20))
     atoms = constraint_atoms(fm, data)
     assert (atoms.count, fm.dim) == (12, 144)
     box = estimate_expectations(fm, data, np.full(fm.dim, 0.25))
+    rows = []
 
-    def called(*args, **kwargs):
-        raise AssertionError("the exact LP was built")
+    def counting(c, A, b, cuts):
+        rows.append(len(A))
 
-    monkeypatch.setattr(solver, "solve_lp", called)
-    monkeypatch.setattr(solver, "label_blocks", called)
-    assert not solver.exact_lp_fits(atoms)
-    with pytest.raises(ValueError, match="49140 rows exceeds its cap of 4095"):
-        solver.train_zero_one_exact(box, atoms)
+        def counted(x):
+            found = cuts(x)
+            if found is not None:
+                rows.append(len(found[0]))
+            return found
+
+        return solve_lp(c, A, b, counted)
+
+    monkeypatch.setattr(solver, "solve_lp", counting)
+    model = solver.train_zero_one_exact(box, atoms)
+    assert model.converged
+    assert rows[0] == atoms.count * atoms.num_classes
+    assert len(rows) > 1 and all(0 < k <= atoms.count for k in rows[1:])

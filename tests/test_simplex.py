@@ -1,5 +1,6 @@
 """The condensed simplex against scipy (values) and against a full-tableau
-simplex (every pivot, bit for bit), and its memory on tall programs."""
+simplex (every pivot, bit for bit; values when rows arrive as cuts), and its
+memory on tall programs."""
 
 import os
 import subprocess
@@ -12,9 +13,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
-from mrckit import features, solver
+from mrckit import bounds, features, solver
+from mrckit.core import Dataset
 from mrckit.datasets import lattice_joint
-from mrckit.simplex import OPTIMAL, UNBOUNDED, solve_lp
+from mrckit.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 60
@@ -140,23 +142,56 @@ def test_beale_example_does_not_cycle():
 
 
 def test_exact_lp_needs_fewer_pivots_than_rows(monkeypatch):
-    # the K=4 exact 0-1 LP on a fixed lattice sample: 16 patterns x 15 subsets
+    # the K=4 exact 0-1 LP on a fixed lattice sample: 16 patterns x 15
+    # subsets would be 240 rows; generation starts from the 64 singletons
     results = []
 
-    def record(c, A, b):
-        results.append((A.shape[0], solve_lp(c, A, b), (c, A, b)))
+    def record(c, A, b, cuts=None):
+        results.append((A.shape[0], solve_lp(c, A, b, cuts)))
         return results[-1][1]
 
     monkeypatch.setattr(solver, "solve_lp", record)
     data = lattice_joint(np.random.default_rng([1, 4])).sample(3000, seed=1)
     fm = features.fit_thresholds(data, features.StumpSpec(4))
     box = features.estimate_expectations(fm, data, 0.25)
-    solver.train_zero_one_exact(box, features.constraint_atoms(fm, data), feature_map=fm)
-    [(rows, res, lp)] = results
-    assert rows == 240
-    assert res.status == OPTIMAL
-    assert 0 < res.pivots < rows
-    assert_same_run(*lp)
+    model = solver.train_zero_one_exact(box, features.constraint_atoms(fm, data), feature_map=fm)
+    [(rows, res)] = results
+    assert rows == 64
+    assert res.status == OPTIMAL and model.converged
+    assert 0 < res.pivots < 240
+
+
+def test_box_lps_do_not_stall_on_degenerate_vertices(monkeypatch):
+    # 653 patterns of a 5-dimensional sample.  Training's 1306 starting rows
+    # all pass through the origin, and the exact 0-1 model's loss is zero at
+    # one label of every pattern: unperturbed, the pivots took 29 831 and
+    # 2758 steps, and on larger tables the bound LP ended in a false
+    # "unbounded"
+    results = []
+
+    def recording(module):
+        def record(c, A, b, cuts=None):
+            results.append((A.shape[0], solve_lp(c, A, b, cuts)))
+            return results[-1][1]
+
+        monkeypatch.setattr(module, "solve_lp", record)
+
+    recording(solver)
+    recording(bounds)
+    rng = np.random.default_rng(52)
+    X = rng.normal(size=(3000, 5))
+    y = rng.integers(1, 3, 3000)
+    X[:, 0] += 0.7 * y
+    data = Dataset(instances=X, labels=y, num_classes=2)
+    fm = features.fit_thresholds(data, features.StumpSpec(10))
+    box = features.estimate_expectations(fm, data, 0.1)
+    atoms = features.constraint_atoms(fm, data)
+    model = solver.train_zero_one_exact(box, atoms)
+    bounds.lower_bound(model, box, atoms)
+    assert model.converged
+    assert [rows for rows, _ in results] == [1306, 1306]
+    for rows, res in results:
+        assert res.status == OPTIMAL and res.pivots < rows
 
 
 @settings(max_examples=200, deadline=None)
@@ -192,6 +227,64 @@ def test_matches_scipy_on_random_problems(n, m, zero_frac, copies, seed):
 @example(n=2, m=3, zero_frac=1.0, copies=3, seed=0)
 def test_pivots_as_the_full_tableau_on_random_problems(n, m, zero_frac, copies, seed):
     assert_same_run(*random_lp(n, m, zero_frac, copies, seed))
+
+
+class RowsAsCuts:
+    """Hands the rows of A x <= b to ``solve_lp`` as cuts: at each optimum
+    those violated by more than 1e-9 and not yet added, all of them or only
+    the most violated."""
+
+    def __init__(self, A, b, all_at_once):
+        self.A, self.b, self.all_at_once = A, b, all_at_once
+        self.added = np.zeros(len(b), dtype=bool)
+
+    def __call__(self, x):
+        excess = np.where(self.added, 0.0, self.A @ x - self.b)
+        rows = (excess > 1e-9).nonzero()[0]
+        if rows.size == 0:
+            return None
+        if not self.all_at_once:
+            rows = rows[[excess[rows].argmax()]]
+        self.added[rows] = True
+        return self.A[rows], self.b[rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    m=st.integers(1, 9),
+    zero_frac=st.floats(0.0, 1.0),
+    copies=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    all_at_once=st.booleans(),
+)
+@example(n=2, m=3, zero_frac=1.0, copies=3, seed=0, all_at_once=False)
+def test_rows_added_as_cuts_reach_the_full_tableau_value(n, m, zero_frac, copies, seed, all_at_once):
+    # the LP starts with the bounds x <= 10, so every stage is bounded, and
+    # the random rows arrive through cuts; the oracle has every row at once
+    c, A, b = random_lp(n, m, zero_frac, copies, seed)
+    cuts = RowsAsCuts(A, b, all_at_once)
+    mine = solve_lp(c, np.eye(n), np.full(n, 10.0), cuts)
+    all_rows = np.vstack([np.eye(n), A]), np.concatenate([np.full(n, 10.0), b])
+    status, _, value, _ = full_tableau_lp(c, *all_rows)
+    assert mine.status == status == OPTIMAL
+    assert abs(mine.value - value) <= TOL * (1.0 + abs(value))
+    assert np.all(A @ mine.x <= b + 1e-9) and np.all(mine.x >= -1e-9)
+
+
+def test_cut_that_no_point_satisfies_ends_infeasible():
+    # x <= 1 holds at the start; x >= 2, and then x <= -1, exclude every x >= 0
+    for row, rhs in ((-1.0, -2.0), (1.0, -1.0)):
+        calls = []
+
+        def cuts(x):
+            calls.append(x)
+            return (np.array([[row]]), np.array([rhs])) if len(calls) == 1 else None
+
+        res = solve_lp([-1.0], [[1.0]], [1.0], cuts)
+        assert res.status == INFEASIBLE
+        assert res.x is None and res.value is None
+        assert len(calls) == 1
 
 
 def test_memory_grows_with_the_constraint_matrix_not_rows_squared():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mrckit import solver
 from mrckit.core import (
     AlphaLoss,
     ConstraintAtoms,
@@ -12,16 +13,16 @@ from mrckit.core import (
     LogLoss,
     ZeroOneLoss,
     beta_of_alpha,
+    label_blocks,
 )
 from mrckit.datasets import lattice_joint
 from mrckit.features import StumpSpec, constraint_atoms, estimate_expectations, fit_thresholds
+from mrckit.simplex import solve_lp
 from mrckit.solver import (
-    MAX_EXACT_LP_ROWS,
     ReducedObjective,
     SolverConfig,
     dual_feasibility_residual,
     dual_value,
-    exact_lp_fits,
     max_offset_alpha,
     max_offset_log,
     max_offset_zero_one,
@@ -42,6 +43,19 @@ def enumerate_offset_zero_one(values):
             cand = (1.0 - sum(values[i] + 1.0 for i in subset)) / size
             best = min(best, cand)
     return best
+
+
+def full_subset_lp(box, atoms):
+    """The oracle: the 0-1 box LP with all r * (2^K - 1) (pattern, label
+    subset) rows at once, on the same simplex.  Returns the model."""
+    K, m = atoms.num_classes, atoms.dim
+    # row s - 1 marks the labels of subset s, bit y of s standing for label y
+    masks = ((np.arange(1, 2**K)[:, None] >> np.arange(K)) & 1).astype(np.float64)
+    sizes = np.tile(masks.sum(axis=1), atoms.count)
+    # row (j, S): the sum over labels in S of pattern j's label-block vectors
+    rows = (masks @ label_blocks(atoms.patterns, K).reshape(-1, K, m)).reshape(-1, m)
+    w, _ = solver.solve_box_lp(box, rows, sizes, 1.0 - sizes, solve_lp)
+    return ReducedObjective(ZO, box, atoms).model(w)
 
 
 def label_frequency_fixture():
@@ -266,35 +280,67 @@ def test_exact_lp_single_constant_atom():
     assert ro.evaluate(model.weights)[0] == pytest.approx(model.objective_value)
 
 
-def test_exact_matches_subgradient_on_small_instances():
-    rng = np.random.default_rng(10)
-    for trial in range(5):
-        k = 2 if trial % 2 == 0 else 3
-        atoms = random_atoms(rng, num_classes=k, r=4, block=2)
-        box = random_box(rng, atoms)
-        exact = train_zero_one_exact(box, atoms)
-        sub = train_mrc(ZO, box, atoms, SolverConfig(max_iters=120000, c=0.2))
-        rel = abs(exact.objective_value - sub.objective_value)
-        assert rel <= 1e-3 * (1.0 + abs(exact.objective_value))
-        # the LP result can never sit above the iterative one
-        assert exact.objective_value <= sub.objective_value + 1e-9
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_classes=st.integers(2, 5),
+    r=st.integers(1, 6),
+    zero_widths=st.booleans(),
+)
+def test_exact_matches_the_full_subset_lp(seed, num_classes, r, zero_widths):
+    rng = np.random.default_rng(seed)
+    atoms = random_atoms(rng, num_classes=num_classes, r=r)
+    box = random_box(rng, atoms)
+    if zero_widths:
+        box = ExpectationBox(box.midpoint, np.zeros(atoms.dim), box.n)
+    model = train_zero_one_exact(box, atoms)
+    oracle = full_subset_lp(box, atoms)
+    value = model.objective_value
+    assert abs(value - oracle.objective_value) <= 1e-9 * (1.0 + abs(value))
+    assert dual_feasibility_residual(model, atoms) <= 0.0
+    assert model.converged
 
 
-def test_exact_lp_rejects_many_classes():
+def test_exact_lp_trains_thirteen_classes():
+    # one pattern, zero widths: the only distribution is uniform on 13
+    # labels, whose minimax 0-1 risk is 1 - 1/13
     atoms = ConstraintAtoms(patterns=np.ones((1, 1)), num_classes=13)
     box = ExpectationBox(np.full(13, 1 / 13), np.zeros(13), 4)
-    with pytest.raises(ValueError):
-        train_zero_one_exact(box, atoms)
+    model = train_zero_one_exact(box, atoms)
+    assert model.converged
+    assert model.objective_value == pytest.approx(12 / 13, abs=1e-9)
+    assert dual_feasibility_residual(model, atoms) <= 0.0
 
 
-def test_exact_lp_admits_up_to_its_row_cap():
-    # one pattern at 12 classes is 2^12 - 1 = 4095 rows, exactly the cap
-    assert MAX_EXACT_LP_ROWS == 4095
-    assert exact_lp_fits(ConstraintAtoms(patterns=np.ones((1, 1)), num_classes=12))
-    assert not exact_lp_fits(ConstraintAtoms(patterns=np.ones((2, 1)), num_classes=12))
-    assert not exact_lp_fits(ConstraintAtoms(patterns=np.ones((1, 1)), num_classes=13))
-    assert exact_lp_fits(ConstraintAtoms(patterns=np.ones((1365, 1)), num_classes=2))
-    assert not exact_lp_fits(ConstraintAtoms(patterns=np.ones((1366, 1)), num_classes=2))
+def lattice_fit_inputs(num_classes, leaves, seed=1):
+    data = lattice_joint(np.random.default_rng([1, num_classes]), num_classes).sample(3000, seed)
+    fm = fit_thresholds(data, StumpSpec(leaves))
+    return estimate_expectations(fm, data, 0.25), constraint_atoms(fm, data)
+
+
+def test_round_budget_is_read_and_convergence_certified():
+    # this K=4 table needs several rounds of constraint generation
+    box, atoms = lattice_fit_inputs(4, 4)
+    cut = train_zero_one_exact(box, atoms, SolverConfig(max_iters=1))
+    assert cut.converged is False
+    assert np.isfinite(cut.objective_value)
+    assert dual_feasibility_residual(cut, atoms) <= 0.0
+    full = train_zero_one_exact(box, atoms)
+    assert full.converged is True
+    assert full.objective_value < cut.objective_value
+    assert full.objective_value == pytest.approx(
+        full_subset_lp(box, atoms).objective_value, abs=1e-9
+    )
+
+
+def test_zero_one_train_mrc_is_the_exact_path():
+    box, atoms = lattice_fit_inputs(3, 4)
+    cfg = SolverConfig(max_iters=50)
+    model = train_mrc(ZO, box, atoms, cfg)
+    exact = train_zero_one_exact(box, atoms, cfg)
+    assert model.converged
+    assert np.array_equal(model.weights, exact.weights)
+    assert model.objective_value == exact.objective_value
 
 
 @pytest.mark.parametrize("loss", [ZO, LG, AlphaLoss(2.0), AlphaLoss(0.5)])
@@ -357,6 +403,6 @@ def test_nonconvergence_is_flagged_not_raised():
     rng = np.random.default_rng(13)
     atoms = random_atoms(rng, r=4)
     box = random_box(rng, atoms)
-    model = train_mrc(ZO, box, atoms, SolverConfig(max_iters=3, c=5.0))
+    model = train_mrc(LG, box, atoms, SolverConfig(max_iters=3, c=5.0))
     assert model.converged is False
     assert np.isfinite(model.objective_value)
