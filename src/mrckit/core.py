@@ -46,7 +46,11 @@ def beta_of_alpha(alpha: float) -> float:
     Finite and nonzero for every valid alpha; >1 when alpha>1, <0 when
     alpha<1.  A beta that rounds to 1, as only an alpha above 2^53 (about
     9.007e15) gives, is refused: the alpha formulas break down at the 0-1
-    loss's exponent.
+    loss's exponent.  So is a |beta| above 1e10, as only an alpha within
+    about 1e-10 of 1 gives: there the alpha formulas lose precision faster
+    than they approach log loss's (on the two-class demo data, log loss
+    bounds the risk by 0.3250, alpha = 1 + 1e-12 by 0.3276 and alpha =
+    1 + 2^-52 by 1.365).  Every alpha with |alpha - 1| >= 1e-9 is accepted.
     """
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
@@ -55,6 +59,8 @@ def beta_of_alpha(alpha: float) -> float:
     beta = alpha / (alpha - 1.0)
     if beta == 1.0:
         raise ValueError(f"alpha {alpha!r} is too large: its beta rounds to 1 (use zero-one)")
+    if abs(beta) > 1e10:
+        raise ValueError(f"alpha {alpha!r} is too close to 1: |beta| exceeds 1e10 (use log)")
     return beta
 
 
@@ -436,8 +442,10 @@ class FeatureMap:
             np.less_equal(XT[d - 1], t, out=out[j])
         return out.T
 
-    def cell_ids(self, X):
-        """The cells of X's rows, numbered within a space of at most n ids.
+    def cells(self, X):
+        """The occupied cells of X's rows: (points, cell), one point per
+        occupied cell and the cell of each row, numbered 0..c-1, so that
+        ``indicator_matrix(points)[cell]`` equals ``indicator_matrix(X)``.
 
         Rows share a cell just when they share a pattern.  On dimension d a
         row's indicators are fixed by one number, its count: how many of d's
@@ -446,16 +454,14 @@ class FeatureMap:
         comparison per threshold: on large batches that is many times faster
         than a binary search per row.  The counts of all dimensions combine by
         mixed radix in the smallest unsigned type that holds the space, and
-        whenever the space would exceed n the occupied ids are renumbered in
-        order, so ids ascend by the tuple of per-dimension counts, dimensions
+        whenever the space would exceed n, and once at the end, the occupied
+        ids are renumbered in order (a no-op when every id is occupied), so
+        cells ascend by the tuple of per-dimension counts, dimensions
         ascending.
 
-        Returns (points, occupied, cell, size): ``cell[i] < size`` is row i's
-        id, ``occupied`` the ascending ids some row has, and ``points[j]`` a
-        point of cell ``occupied[j]``, its counts decoded from the id, so that
-        ``indicator_matrix(points[j])`` is the pattern of every row there.
-        Points are in general not rows of X: each coordinate is a threshold,
-        the float just above a dimension's largest, or 0.0 where no threshold
+        Each point has its cell's counts, decoded from the cell's id, so it
+        is in general not a row of X: each coordinate is a threshold, the
+        float just above a dimension's largest, or 0.0 where no threshold
         reads it.
         """
         X = self._instances(X)
@@ -480,13 +486,8 @@ class FeatureMap:
                 cell = np.multiply(cell, dt.type(radix), dtype=dt)
                 cell += count
             size *= radix
-        if size > n:
-            cell, ids = _renumber(cell, size)
-            size = ids.shape[0]
-            occupied = np.arange(size)
-        else:
-            occupied = ids = np.flatnonzero(np.bincount(cell, minlength=size))
-        points = np.zeros((occupied.shape[0], X.shape[1]))
+        cell, ids = _renumber(cell, size)
+        points = np.zeros((ids.shape[0], X.shape[1]))
         for (d, values, at_count), before in zip(
             reversed(self._distinct_thresholds), reversed(kept)
         ):
@@ -494,17 +495,6 @@ class FeatureMap:
             points[:, d - 1] = at_count[count]
             if before is not None:
                 ids = before[ids]
-        return points, occupied, cell, size
-
-    def cells(self, X):
-        """The occupied cells of X's rows, numbered 0..c-1 in ``cell_ids``
-        order: returns (points, cell), one point per occupied cell and the
-        cell of each row, so that ``indicator_matrix(points)[cell]`` equals
-        ``indicator_matrix(X)``.  The points are in general not rows of X.
-        """
-        points, occupied, cell, size = self.cell_ids(X)
-        if occupied.shape[0] < size:
-            cell = _relabel(cell, size, occupied)
         return points, cell
 
     def score_matrix(self, X, weights) -> np.ndarray:
@@ -524,18 +514,16 @@ class FeatureMap:
         return np.ascontiguousarray(scores.T)
 
 
-def _relabel(cell, size, occupied):
-    """Cell ids below ``size`` renumbered to 0..c-1 for the c ``occupied`` ones,
-    in order, in the smallest unsigned type that holds them."""
-    ids = np.zeros(size, dtype=np.min_scalar_type(max(occupied.shape[0] - 1, 0)))
-    ids[occupied] = np.arange(occupied.shape[0])
-    return ids.take(cell)
-
-
 def _renumber(cell, size):
-    """(cell ids renumbered to the occupied ones, the occupied ids in order)."""
+    """(cell ids below ``size`` renumbered 0..c-1 in order, in the smallest
+    unsigned type that holds them, the c occupied ids in order); the ids stay
+    as they are when all ``size`` are occupied."""
     occupied = np.flatnonzero(np.bincount(cell, minlength=size))
-    return _relabel(cell, size, occupied), occupied
+    if occupied.shape[0] < size:
+        ids = np.zeros(size, dtype=np.min_scalar_type(max(occupied.shape[0] - 1, 0)))
+        ids[occupied] = np.arange(occupied.shape[0])
+        cell = ids.take(cell)
+    return cell, occupied
 
 
 @dataclass(frozen=True)
@@ -578,7 +566,7 @@ class ExpectationBox:
 
     @cached_property
     def half_width(self) -> np.ndarray:
-        """(upper - lower) / 2, identical to widths/sqrt(n)."""
+        """(upper - lower) / 2: widths/sqrt(n) up to rounding, not bit for bit."""
         return _frozen((self.upper - self.lower) / 2.0)
 
     @cached_property
@@ -641,8 +629,9 @@ class ConstraintAtoms:
         """The table of X's indicator patterns under ``fm``, with label counts
         when labels (1..K) are given.
 
-        Pattern j is the indicator row of cell j's point
-        (``FeatureMap.cells``) and each row counts at its cell.  For thresholds
+        Pattern j is the indicator row of cell j's point under
+        ``FeatureMap.cells``, the cell map ``predict_probs`` reads too, and
+        each row counts at its cell.  For thresholds
         grouped by ascending dimension and strictly ascending within each, as
         in every ``fit_thresholds`` map, cell order is ``np.unique``'s order.
         """

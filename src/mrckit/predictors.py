@@ -30,20 +30,15 @@ def predict_probs(model: MrcModel, X) -> np.ndarray:
     """The model's rule at instances X, at its offset (None: each row's own).
 
     Rows sharing an indicator pattern share their scores and so their rule
-    row: scores and rule run once per occupied cell of X, at the point
-    ``FeatureMap.cell_ids`` decodes for it, into a table over the cell ids,
-    and each row takes its cell's row of that table.  Every rule works row by
-    row, so the result equals the rule at ``FeatureMap.score_matrix(X,
-    model.weights)`` bit for bit and a row's probabilities do not depend on
-    the rest of the batch.
+    row: scores and rule run once per occupied cell of X
+    (``FeatureMap.cells``), at the cell's point, and each row takes its
+    cell's rule row.  Every rule works row by row, so the result equals the
+    rule at ``FeatureMap.score_matrix(X, model.weights)`` bit for bit and a
+    row's probabilities do not depend on the rest of the batch.
     """
     fm = model.features()
-    points, occupied, cell, size = fm.cell_ids(X)
+    points, cell = fm.cells(X)
     probs = rule_probs(model.loss, fm.score_matrix(points, model.weights), model.offset)
-    if occupied.shape[0] < size:
-        table = np.empty((size, probs.shape[1]))
-        table[occupied] = probs
-        probs = table
     return probs.take(cell, axis=0)
 
 

@@ -285,10 +285,12 @@ class ReducedDual:
         stored offset.  An offset that already holds there, as every alpha
         offset does, stays as it is."""
         w = np.asarray(weights, dtype=np.float64)
-        value, _, offsets = self.evaluate(w)
+        scores = self.atoms.scores(w)
+        offsets = self.loss.offset(scores)
         offset = None
-        if self.marginal is None:
-            scores = self.atoms.scores(w)
+        if self.marginal is not None:
+            value = dual_value(w, self.half_width, self.midpoint, self.marginal @ offsets)
+        else:
             top = float(offsets.min())
             unit = _EPS * (1.0 + abs(top) + float(np.abs(scores).max()))
             for step in (0.0, *(4.0**n for n in range(32))):

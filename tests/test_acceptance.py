@@ -47,7 +47,7 @@ from mrckit.solver import (
     max_offset_alpha,
     max_offset_log,
     max_offset_zero_one,
-    train_mrc,
+    subgradient_minimize,
     train_zero_one_exact,
 )
 
@@ -92,7 +92,12 @@ def test_criterion_1_duality_pinch():
         atoms = ConstraintAtoms.from_instances(fm, X)
         oracle = brute_force_max_entropy(ZO, fm, X, box, grid_step=0.02)
         exact = train_zero_one_exact(box, atoms)
-        sub = train_mrc(ZO, box, atoms, SolverConfig(max_iters=80000, c=0.2))
+        # the subgradient path itself: train_mrc trains 0-1 exactly
+        objective = ReducedObjective(ZO, box, atoms)
+        w, _ = subgradient_minimize(
+            objective.value_and_subgradient, box.dim, SolverConfig(max_iters=80000, c=0.2)
+        )
+        sub = objective.model(w)
         worst_exact = max(worst_exact, abs(exact.objective_value - oracle))
         worst_sub = max(worst_sub, abs(sub.objective_value - oracle))
         worst_rel = max(

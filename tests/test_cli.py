@@ -316,6 +316,14 @@ def test_alpha_whose_beta_rounds_to_one_exits_2(demo_csv, capsys):
     assert "use zero-one" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["1.0000000000000002", "0.9999999999999999"])
+def test_alpha_whose_beta_exceeds_1e10_exits_2(demo_csv, capsys, alpha):
+    train, _ = demo_csv
+    assert run(["train", "--data", train, "--loss", f"alpha:{alpha}", "--max-iters", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "use log" in err and "zero-one" not in err
+
+
 def test_schema_mismatch_exits_2(demo_csv, tmp_path):
     train, _ = demo_csv
     model_path = tmp_path / "m.json"

@@ -60,6 +60,24 @@ def test_alpha_whose_beta_rounds_to_one_is_refused(alpha):
         AlphaLoss(alpha)
 
 
+@pytest.mark.parametrize(
+    "alpha", [1.0000000000000002, 0.9999999999999999, 1.000000000001, 1.0 - 1e-11]
+)
+def test_alpha_whose_beta_exceeds_1e10_is_refused(alpha):
+    # on the demo data the first three bounded the risk by 1.365, 2.0 and
+    # 0.3276 where log loss gives 0.3250
+    assert abs(alpha / (alpha - 1.0)) > 1e10
+    for make in (beta_of_alpha, AlphaLoss):
+        with pytest.raises(ValueError, match="use log") as info:
+            make(alpha)
+        assert repr(alpha) in str(info.value) and "zero-one" not in str(info.value)
+
+
+@pytest.mark.parametrize("alpha", [1.0 + 1e-9, 1.0 - 1e-9])
+def test_alphas_1e9_from_one_are_accepted(alpha):
+    assert 1e8 < abs(beta_of_alpha(alpha)) <= 1e10
+
+
 def test_largest_alphas_below_beta_one_still_train():
     loss = AlphaLoss(9e15)
     assert loss.beta > 1.0
