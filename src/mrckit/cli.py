@@ -50,7 +50,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
-ORACLE_BUDGET = 25_000_000  # lattice entries (points x cells); 2.1e7 peaked at 188 MB
+ORACLE_BUDGET = 25_000_000  # lattice entries (points x cells); 2.1e7 peaked at 79 MB
 
 METHODS = ("mrc-zero-one", "mrc-log", "adversarial-zero-one", "logistic-regression")
 

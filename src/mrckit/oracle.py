@@ -92,20 +92,27 @@ def _feasible_tables(fm: FeatureMap, instances, box: ExpectationBox, step, margi
     """Flattened joint tables on the step lattice over the instances whose
     feature expectations fall in the box padded by a grid-sized slack (so
     interiors are never missed) and, given an instance marginal, whose own
-    marginal lies within a step of it; yielded chunk by chunk."""
+    marginal lies within a step of it; yielded chunk by chunk, in the
+    lattice's lexicographic order.  The lattice is enumerated one leading
+    entry at a time, so only the block of its completions is ever held."""
     K = fm.num_classes
     units = grid_units(step)
     cell_phi = cell_features(fm, instances)
     slack = step * float(np.abs(cell_phi).max(initial=0.0))
-    lattice = compositions(units, cell_phi.shape[0])
-    for lo in range(0, lattice.shape[0], _LATTICE_CHUNK):
-        P = lattice[lo : lo + _LATTICE_CHUNK].astype(np.float64) / units
-        E = P @ cell_phi
-        ok = np.all(E >= box.lower - slack, axis=1) & np.all(E <= box.upper + slack, axis=1)
-        if marginal is not None:
-            px = P.reshape(P.shape[0], -1, K).sum(axis=2)
-            ok &= np.all(np.abs(px - np.asarray(marginal)[None, :]) <= step, axis=1)
-        yield P[ok]
+    for first in range(units + 1):
+        rest = compositions(units - first, cell_phi.shape[0] - 1)
+        for lo in range(0, rest.shape[0], _LATTICE_CHUNK):
+            block = rest[lo : lo + _LATTICE_CHUNK]
+            P = np.empty((block.shape[0], cell_phi.shape[0]))
+            P[:, 0] = first
+            P[:, 1:] = block
+            P /= units
+            E = P @ cell_phi
+            ok = np.all(E >= box.lower - slack, axis=1) & np.all(E <= box.upper + slack, axis=1)
+            if marginal is not None:
+                px = P.reshape(P.shape[0], -1, K).sum(axis=2)
+                ok &= np.all(np.abs(px - np.asarray(marginal)[None, :]) <= step, axis=1)
+            yield P[ok]
 
 
 def brute_force_max_entropy(

@@ -16,22 +16,28 @@ the leaving variable in place, costs rows x columns.  Variables are
 numbered structurals first, then slacks, and every rule breaks ties by that
 number, so the pivots are those of the full tableau ``[A | I | b]``.
 
-The entering variable has the most negative reduced cost (Dantzig's rule).
-These LPs are highly degenerate, and Dantzig's rule alone can cycle, so
-once a run of consecutive degenerate pivots reaches the row count the
-variable is chosen by Bland's rule (Bland, Math. Oper. Res. 1977) until the
-next pivot that moves.  A cycle needs an endless degenerate run, and during
+Two rules choose every pivot, each read on the tableau or on its
+transpose.  Pricing takes the most negative value below a tolerance,
+ties to the smallest variable; the ratio test takes, over the positive
+divisors, the least ratio, ties within a tolerance to the smallest
+variable.  A primal pivot prices the reduced costs to pick the entering
+column (Dantzig's rule), then tests the right-hand sides over that column
+to pick the leaving row.  These LPs are highly degenerate, and Dantzig's
+rule alone can cycle, so once a run of consecutive degenerate pivots
+reaches the row count pricing takes the smallest variable with a negative
+value instead (Bland's rule; Bland, Math. Oper. Res. 1977) until the next
+pivot that moves.  A cycle needs an endless degenerate run, and during
 one Bland's rule is finite.
 
 Constraint generation passes ``cuts``: at each optimum it may return rows
 that the optimum violates.  Each joins the tableau written in the current
 nonbasic columns, its slack basic as the next variable number, so the basis
 stays optimal (non-negative reduced costs) but no longer feasible.
-Dual-simplex pivots (Lemke, Naval Res. Logist. Q. 1954) restore
-feasibility: the leaving row has the most negative right-hand side, the
-entering column the least ratio of reduced cost to the row's negative
-entry, ties to the smallest variable, and a degenerate run as long as the
-row count switches the leaving row to Bland's choice.  Primal pivots then
+Dual-simplex pivots (Lemke, Naval Res. Logist. Q. 1954), the primal's
+rules read on the transposed tableau, restore feasibility: pricing on the
+right-hand sides picks the leaving row, the ratio test of the reduced costs
+over the negated leaving row picks the entering column, and the same
+degenerate runs switch pricing to Bland's rule.  Primal pivots then
 resume.  A cut that no x >= 0 satisfies ends the solve as infeasible.  The
 first optimum of a solve with cuts is sought with distinct offsets of about
 1e-7 on the starting right-hand sides (the perturbation method of Charnes,
@@ -66,34 +72,33 @@ class LpResult:
     pivots: int  # every pivot made, Bland fallback pivots included
 
 
-def _dantzig_entering(cost, nonbasic):
-    """Column with the most negative reduced cost < -tol, smallest variable on ties."""
-    reduced = cost[:-1]
-    col = reduced.argmin()
-    if not reduced[col] < -_COST_TOL:
+def _most_negative(values, names, tol, bland):
+    """Pricing: the index of the most negative value < -tol, smallest name on
+    ties, or under Bland's rule the smallest name with a value < -tol; -1
+    when no value is below -tol."""
+    if bland:
+        idx = (values < -tol).nonzero()[0]
+        return int(idx[names[idx].argmin()]) if idx.size else -1
+    i = values.argmin()
+    if not values[i] < -tol:
         return -1
-    tied = (reduced == reduced[col]).nonzero()[0]
-    return int(col) if tied.size == 1 else int(tied[nonbasic[tied].argmin()])
+    tied = (values == values[i]).nonzero()[0]
+    return int(i) if tied.size == 1 else int(tied[names[tied].argmin()])
 
 
-def _bland_entering(cost, nonbasic):
-    """Column of the smallest variable with reduced cost < -tol."""
-    idx = (cost[:-1] < -_COST_TOL).nonzero()[0]
-    return int(idx[nonbasic[idx].argmin()]) if idx.size else -1
-
-
-def _bland_leaving(column, rhs, basis):
-    """Min-ratio row, ties broken by smallest basic variable index, and its
-    ratio (the step); row -1 when the column is unbounded."""
-    rows = (column > _PIVOT_TOL).nonzero()[0]
-    if rows.size == 0:
+def _min_ratio(numer, denom, names):
+    """Ratio test: over denom > tol, the index of the least numer / denom,
+    smallest name among the ratios within tol of it, and that ratio (the
+    step); index -1 when no denom exceeds tol."""
+    idx = (denom > _PIVOT_TOL).nonzero()[0]
+    if idx.size == 0:
         return -1, 0.0
-    ratios = rhs[rows]
-    ratios /= column[rows]
+    ratios = numer[idx]
+    ratios /= denom[idx]
     best = ratios.min()
     tied = (ratios <= best + _PIVOT_TOL * (1.0 + abs(best))).nonzero()[0]
-    pick = tied[0] if tied.size == 1 else tied[basis[rows[tied]].argmin()]
-    return int(rows[pick]), ratios[pick]
+    pick = tied[0] if tied.size == 1 else tied[names[idx[tied]].argmin()]
+    return int(idx[pick]), ratios[pick]
 
 
 def _pivot(tab, basis, nonbasic, row, col):
@@ -116,16 +121,17 @@ def _pivot(tab, basis, nonbasic, row, col):
 
 
 def _primal(tab, basis, nonbasic):
-    """Primal pivots to an optimum; returns (pivots, bounded)."""
+    """Primal pivots to an optimum; returns (pivots, bounded).  A run of
+    degenerate pivots as long as the row count switches pricing to Bland's
+    rule until the next pivot that moves."""
     T, cost = tab[:-1], tab[-1]
     rhs = T[:, -1]
     pivots = degenerate = 0
     while True:
-        entering = _bland_entering if degenerate >= len(T) else _dantzig_entering
-        col = entering(cost, nonbasic)
+        col = _most_negative(cost[:-1], nonbasic, _COST_TOL, degenerate >= len(T))
         if col < 0:
             return pivots, True
-        row, step = _bland_leaving(T[:, col], rhs, basis)
+        row, step = _min_ratio(rhs, T[:, col], basis)
         if row < 0:
             return pivots, False
         degenerate = degenerate + 1 if step <= _PIVOT_TOL else 0
@@ -133,48 +139,18 @@ def _primal(tab, basis, nonbasic):
         pivots += 1
 
 
-def _dual_leaving(rhs, basis, bland):
-    """Row with the most negative right-hand side < -tol (smallest basic
-    variable on ties), or under Bland's rule the infeasible row of the
-    smallest basic variable; -1 when every row is feasible."""
-    if bland:
-        rows = (rhs < -_FEAS_TOL).nonzero()[0]
-        return int(rows[basis[rows].argmin()]) if rows.size else -1
-    row = rhs.argmin()
-    if not rhs[row] < -_FEAS_TOL:
-        return -1
-    tied = (rhs == rhs[row]).nonzero()[0]
-    return int(row) if tied.size == 1 else int(tied[basis[tied].argmin()])
-
-
-def _dual_entering(pivot_row, cost, nonbasic):
-    """Column of the least ratio cost_j / |T_rj| over T_rj < -tol, ties broken
-    by smallest variable, and its ratio (the step); column -1 when none, so
-    no x >= 0 satisfies the row."""
-    cols = (pivot_row[:-1] < -_PIVOT_TOL).nonzero()[0]
-    if cols.size == 0:
-        return -1, 0.0
-    ratios = np.maximum(cost[cols], 0.0)
-    ratios /= -pivot_row[cols]
-    best = ratios.min()
-    tied = (ratios <= best + _PIVOT_TOL * (1.0 + best)).nonzero()[0]
-    pick = tied[0] if tied.size == 1 else tied[nonbasic[cols[tied]].argmin()]
-    return int(cols[pick]), ratios[pick]
-
-
 def _dual(tab, basis, nonbasic):
     """Dual-simplex pivots (Lemke) until no right-hand side is below -tol,
     the reduced costs staying non-negative; returns (pivots, feasible).
-    A run of degenerate pivots as long as the row count switches the leaving
-    row to Bland's choice until the next pivot that moves the objective."""
+    Degenerate runs switch pricing to Bland's rule as in ``_primal``."""
     T, cost = tab[:-1], tab[-1]
     rhs = T[:, -1]
     pivots = degenerate = 0
     while True:
-        row = _dual_leaving(rhs, basis, degenerate >= len(T))
+        row = _most_negative(rhs, basis, _FEAS_TOL, degenerate >= len(T))
         if row < 0:
             return pivots, True
-        col, step = _dual_entering(T[row], cost, nonbasic)
+        col, step = _min_ratio(np.maximum(cost[:-1], 0.0), -T[row, :-1], nonbasic)
         if col < 0:
             return pivots, False
         degenerate = degenerate + 1 if step <= _COST_TOL else 0

@@ -151,3 +151,21 @@ def test_cli_small_alpha_trains_or_exits_2():
             assert math.isfinite(float(done.stdout.split()[1]))
         else:
             assert "alpha" in done.stderr
+
+
+def test_non_finite_scores_name_alpha():
+    # weights that overflowed score NaN; below alpha 1 no offset exists
+    with pytest.raises(ValueError, match="alpha 0.5"):
+        max_offset_alpha(np.array([[np.nan, np.nan]]), 0.5)
+
+
+@pytest.mark.parametrize("alpha, width", [("0.5", "1e300"), ("0.9", "1e300"), ("0.5", "1e200")])
+def test_cli_huge_width_below_alpha_one_exits_2(alpha, width):
+    # the subgradient iterates overflow first, with RuntimeWarnings that pytest
+    # would turn into errors in-process
+    data = str(ROOT / "data" / "two_class_demo.csv")
+    done = _run(["-m", "mrckit.cli", "train", "--data", data, "--loss", f"alpha:{alpha}",
+                 "--lambda", width, "--max-iters", "200"])
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert f"alpha {alpha}" in done.stderr

@@ -79,6 +79,21 @@ def test_compositions_peak_memory_within_twice_the_result():
     assert peak <= 2 * comp.nbytes, f"peak {peak} B for a {comp.nbytes} B table"
 
 
+def test_oracle_peak_memory_holds_one_lattice_block():
+    # three instances x two labels at step 0.02: the whole lattice is
+    # comb(55, 5) x 6 int32 (83 MB); the largest block of completions after
+    # one leading entry is comb(54, 4) x 5 int32 (6.3 MB)
+    fm, instances, box = three_instance_setup(0.05)
+    tracemalloc.start()
+    try:
+        value = brute_force_max_entropy(ZO, fm, instances, box, 0.02)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(value)
+    assert peak <= 64e6, f"peak {peak} B"
+
+
 def test_label_frequency_pinch():
     fm, instances, box = label_frequency_setup()
     assert brute_force_max_entropy(ZO, fm, instances, box, 0.02) == pytest.approx(

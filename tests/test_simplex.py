@@ -141,6 +141,40 @@ def test_beale_example_does_not_cycle():
     assert np.array_equal(np.array(x, dtype=float), ref[1])
 
 
+def test_beale_example_mirrored_into_the_dual_phase_does_not_cycle():
+    # Beale's LP dual, min y_3 over A^T y >= -c, 0 <= y <= 10, its rows added
+    # as one round of cuts: the dual phase cycles under the most-negative
+    # right-hand-side rule alone, so its Bland fallback must end the run; a
+    # subprocess turns a cycling regression into a failure, not a hang
+    c = [-0.75, 20, -0.5, 6]
+    A = [[0.25, -8, -1, 9], [0.5, -12, -0.5, 3], [0, 0, 1, 0]]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = (
+        "import numpy as np\n"
+        "from mrckit.simplex import solve_lp\n"
+        f"A, c = np.array({A}, dtype=float), np.array({c})\n"
+        "rounds = []\n"
+        "def cuts(x):\n"
+        "    rounds.append(x)\n"
+        "    return (-A.T, c) if len(rounds) == 1 else None\n"
+        "res = solve_lp([0, 0, 1], np.eye(3), np.full(3, 10.0), cuts)\n"
+        "print(res.status, len(rounds), repr(res.value), *map(repr, res.x.tolist()))\n"
+    )
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True,
+            timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        raise AssertionError(f"the dual Beale example did not finish within {TIMEOUT_S} s") from None
+    assert done.returncode == 0, done.stderr
+    status, rounds, value, *x = done.stdout.split()
+    assert (status, rounds) == (OPTIMAL, "2")
+    assert float(value) == pytest.approx(1.25, abs=TOL)  # minus Beale's optimum
+    np.testing.assert_allclose(np.array(x, dtype=float), [0.0, 1.5, 1.25], atol=TOL)
+
+
 def test_exact_lp_needs_fewer_pivots_than_rows(monkeypatch):
     # the K=4 exact 0-1 LP on a fixed lattice sample: 16 patterns x 15
     # subsets would be 240 rows; generation starts from the 64 singletons
