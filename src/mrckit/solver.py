@@ -193,15 +193,20 @@ def max_offset_alpha(values, alpha, return_bases=False):
     rounded down in one pass over the batch, to one unit
     eps (|beta| + |v_1| + |o|) below (further only on the rare row where
     that still fails), so it is feasible in floating point.  Alpha is
-    validated once, here.  For alpha < 1 raises ValueError naming alpha when
-    the offset overflows float64 (alpha close to 0) or a row's top score is
-    not finite (weights that overflowed).  With ``return_bases`` also
-    returns the bases (v_y + o)/beta + 1 at the returned offsets.
+    validated once, here.  Raises ValueError naming alpha when a row's top
+    score is not finite (weights that overflowed), and for alpha < 1 when
+    the offset overflows float64 (alpha close to 0).  With ``return_bases``
+    also returns the bases (v_y + o)/beta + 1 at the returned offsets.
     """
     beta = beta_of_alpha(alpha)
     values = np.asarray(values, dtype=np.float64)
     v = values if values.ndim > 1 else values[None]
     top = v.max(axis=1)
+    if not np.isfinite(top).all():
+        raise ValueError(
+            f"alpha {alpha!r} has no dual offset for scores that are not finite: "
+            "the weights overflow float64 (is lambda huge?)"
+        )
     u = (v - top[:, None]) / beta  # <= 0 for beta > 1, >= 0 for beta < 0
     if beta > 0:
         active = _active_labels(u, beta)
@@ -214,11 +219,6 @@ def max_offset_alpha(values, alpha, return_bases=False):
             hi = np.where(active, 1.0, np.minimum(-u, 1.0)).min(axis=1)  # min(-u_{k+1}, 1)
             d = _newton_root(u, hi, lo, hi, beta)
     else:
-        if not np.isfinite(top).all():
-            raise ValueError(
-                f"alpha {alpha!r} has no dual offset for scores that are not finite: "
-                "the weights overflow float64 (is lambda huge?)"
-            )
         K = v.shape[1]
         try:
             hi = float(K) ** (-1.0 / beta)

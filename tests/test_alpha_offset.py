@@ -153,10 +153,12 @@ def test_cli_small_alpha_trains_or_exits_2():
             assert "alpha" in done.stderr
 
 
-def test_non_finite_scores_name_alpha():
-    # weights that overflowed score NaN; below alpha 1 no offset exists
-    with pytest.raises(ValueError, match="alpha 0.5"):
-        max_offset_alpha(np.array([[np.nan, np.nan]]), 0.5)
+@pytest.mark.parametrize("row", [[np.nan, np.nan], [np.inf, 0.0]], ids=["nan", "inf"])
+@pytest.mark.parametrize("alpha", [0.5, 2.0, 3.0])
+def test_non_finite_scores_name_alpha(alpha, row):
+    # weights that overflowed score NaN or inf; no alpha has an offset there
+    with pytest.raises(ValueError, match=f"alpha {alpha!r}"):
+        max_offset_alpha(np.array([row]), alpha)
 
 
 @pytest.mark.parametrize("alpha, width", [("0.5", "1e300"), ("0.9", "1e300"), ("0.5", "1e200")])
