@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from mrckit.bounds import generalization_slack, upper_bound
-from mrckit.core import ExpectationBox, ZeroOneLoss
+from mrckit.core import ExpectationBox, ZeroOneLoss, pattern_scores
 from mrckit.datasets import two_class_demo_joint
 from mrckit.features import StumpSpec, constraint_atoms, estimate_expectations, fit_thresholds
 from mrckit.marginals import adversarial01_objective, logreg_objective
@@ -45,7 +45,7 @@ worst = 0.0
 for _ in range(200):
     w = rng.normal(size=fm.dim)
     mine, _ = logreg_objective(w, constraint_atoms(fm, data), 0.0)
-    s = fm.score_matrix(data.instances, w)
+    s = pattern_scores(fm.indicator_matrix(data.instances), w)
     nll = np.mean(
         np.log(np.exp(s).sum(axis=1)) - s[np.arange(data.n), data.labels - 1]
     )
@@ -57,7 +57,7 @@ worst = 0.0
 for _ in range(50):
     w = rng.normal(size=fm.dim)
     mine, _ = adversarial01_objective(w, constraint_atoms(fm, data), 0.0)
-    s = fm.score_matrix(data.instances, w)
+    s = pattern_scores(fm.indicator_matrix(data.instances), w)
     total = 0.0
     for i in range(data.n):
         best = -math.inf

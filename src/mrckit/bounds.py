@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BoundReport, ConstraintAtoms, ExpectationBox, MrcModel, label_blocks
+from .core import BoundReport, ConstraintAtoms, ExpectationBox, MrcModel
+from .core import label_blocks, pattern_scores
 from .simplex import solve_lp
 from .solver import dual_feasibility_residual, dual_value, solve_box_lp
 
@@ -41,9 +42,11 @@ def upper_bound(model: MrcModel, box: ExpectationBox) -> float:
 
 
 def model_loss_table(model: MrcModel, atoms: ConstraintAtoms) -> np.ndarray:
-    """Per-pattern, per-label loss of the model's own rule."""
+    """Per-pattern, per-label loss of the model's own rule, scored by
+    ``pattern_scores`` as ``predict_probs`` scores it: the certified rule is
+    the emitted one."""
     offset = model.dual_offset("the bound LPs")
-    return model.loss.rule_loss(atoms.scores(model.weights), offset)
+    return model.loss.rule_loss(pattern_scores(atoms.patterns, model.weights), offset)
 
 
 def lower_bound(

@@ -29,6 +29,7 @@ __all__ = [
     "ExpectationBox",
     "ConstraintAtoms",
     "label_blocks",
+    "pattern_scores",
     "MrcModel",
     "BoundReport",
 ]
@@ -414,19 +415,16 @@ class FeatureMap:
 
     @cached_property
     def _distinct_thresholds(self) -> tuple:
-        """(dim, sorted distinct threshold values v_1 < ... < v_m, point at
-        each count) for each dimension that has any.
-
-        A value x is at most exactly the c largest values, v_{m-c+1} .. v_m,
-        for its count c; the point at count c is v_{m-c+1} for c >= 1 and the
-        float just above v_m for c = 0, so it has every indicator x has.
-        """
-        dims = sorted({d for d, _ in self.thresholds})
+        """(dim, sorted distinct threshold values v_1 < ... < v_m, the
+        dimension's pattern slots, the count that sets each) per dimension
+        that has any: x is at most exactly the c largest values for its
+        count c, so x <= t just when c reaches the number of values >= t."""
         out = []
-        for d in dims:
-            values = np.unique([t for e, t in self.thresholds if e == d])
-            at_count = np.concatenate(([np.nextafter(values[-1], np.inf)], values[::-1]))
-            out.append((d, values, at_count))
+        for d in sorted({d for d, _ in self.thresholds}):
+            slots = [j for j, (e, _) in enumerate(self.thresholds, start=1) if e == d]
+            ts = [self.thresholds[j - 1][1] for j in slots]
+            values = np.unique(ts)
+            out.append((d, values, slots, values.shape[0] - np.searchsorted(values, ts)))
         return tuple(out)
 
     def indicator_matrix(self, X) -> np.ndarray:
@@ -443,9 +441,10 @@ class FeatureMap:
         return out.T
 
     def cells(self, X):
-        """The occupied cells of X's rows: (points, cell), one point per
-        occupied cell and the cell of each row, numbered 0..c-1, so that
-        ``indicator_matrix(points)[cell]`` equals ``indicator_matrix(X)``.
+        """The occupied cells of X's rows: (patterns, cell), each occupied
+        cell's indicator row, (c, k+1) in C order (BLAS sums F order
+        differently), and the cell of each row, numbered 0..c-1, so that
+        ``patterns[cell]`` equals ``indicator_matrix(X)``.
 
         Rows share a cell just when they share a pattern.  On dimension d a
         row's indicators are fixed by one number, its count: how many of d's
@@ -457,18 +456,15 @@ class FeatureMap:
         whenever the space would exceed n, and once at the end, the occupied
         ids are renumbered in order (a no-op when every id is occupied), so
         cells ascend by the tuple of per-dimension counts, dimensions
-        ascending.
-
-        Each point has its cell's counts, decoded from the cell's id, so it
-        is in general not a row of X: each coordinate is a threshold, the
-        float just above a dimension's largest, or 0.0 where no threshold
-        reads it.
+        ascending.  Each cell's counts are decoded from its id, and each of
+        its thresholds is set once the count reaches the number of the
+        dimension's distinct values at or above it.
         """
         X = self._instances(X)
         n = X.shape[0]
         cell, size = np.zeros(n, dtype=np.uint8), 1
         kept = []  # per dimension, the occupied ids renumbered before its combine
-        for d, values, _ in self._distinct_thresholds:
+        for d, values, _, _ in self._distinct_thresholds:
             radix = values.shape[0] + 1
             before = None
             if size * radix > n:
@@ -487,31 +483,15 @@ class FeatureMap:
                 cell += count
             size *= radix
         cell, ids = _renumber(cell, size)
-        points = np.zeros((ids.shape[0], X.shape[1]))
-        for (d, values, at_count), before in zip(
+        patterns = np.ones((ids.shape[0], self.block_size))
+        for (_, values, slots, need), before in zip(
             reversed(self._distinct_thresholds), reversed(kept)
         ):
             ids, count = np.divmod(ids, values.shape[0] + 1)
-            points[:, d - 1] = at_count[count]
+            patterns[:, slots] = count[:, None] >= need
             if before is not None:
                 ids = before[ids]
-        return points, cell
-
-    def score_matrix(self, X, weights) -> np.ndarray:
-        """Linear scores phi(x, y) . weights for all rows and labels, shape (n, K).
-
-        Each score adds its weights one threshold at a time, in threshold
-        order, so a row's scores depend on that row alone: a matrix product
-        may sum in an order that changes with the number of rows.
-        """
-        W = np.asarray(weights, dtype=np.float64).reshape(
-            self.num_classes, self.block_size
-        )
-        ind = self.indicator_matrix(X).T
-        scores = np.zeros((self.num_classes, ind.shape[1]))
-        for j in range(self.block_size):
-            scores += W[:, j, None] * ind[j]
-        return np.ascontiguousarray(scores.T)
+        return patterns, cell
 
 
 def _renumber(cell, size):
@@ -590,6 +570,20 @@ def label_blocks(patterns, num_classes: int) -> np.ndarray:
     return out.reshape(r * num_classes, num_classes * b)
 
 
+def pattern_scores(patterns, weights) -> np.ndarray:
+    """(r, K) scores of indicator patterns, pattern j in label y's block
+    dotted with ``weights``, added one slot at a time so that a pattern's
+    scores depend on it alone (a matrix product's order changes with the
+    row count).  Prediction and every certificate score with it, so a bound
+    certifies the rule ``predict_probs`` emits, bit for bit."""
+    P = np.asarray(patterns, dtype=np.float64)
+    W = np.asarray(weights, dtype=np.float64).reshape(-1, P.shape[1])
+    scores = np.zeros((W.shape[0], P.shape[0]))
+    for j in range(P.shape[1]):
+        scores += W[:, j, None] * P[:, j]
+    return np.ascontiguousarray(scores.T)
+
+
 @dataclass(frozen=True)
 class ConstraintAtoms:
     """The training data's sufficient statistics: distinct indicator patterns
@@ -597,10 +591,11 @@ class ConstraintAtoms:
 
     Pattern j induces one m-vector per label: the pattern written into that
     label's block.  ``scores(weights)`` is the (r, K) matrix of those
-    vectors dotted with a weight vector.  ``counts`` is absent only for
-    tables built from patterns alone, which serve the box-constrained dual
-    and the bounds but not the empirical mean or the fixed-marginal
-    objectives.
+    vectors dotted with a weight vector, the training objective's product;
+    a reported rule scores with ``pattern_scores``.  ``counts`` is absent
+    only for tables built from patterns alone, which serve the
+    box-constrained dual and the bounds but not the empirical mean or the
+    fixed-marginal objectives.
     """
 
     patterns: np.ndarray  # (r, k+1) 0/1 entries, first column all ones
@@ -629,15 +624,13 @@ class ConstraintAtoms:
         """The table of X's indicator patterns under ``fm``, with label counts
         when labels (1..K) are given.
 
-        Pattern j is the indicator row of cell j's point under
-        ``FeatureMap.cells``, the cell map ``predict_probs`` reads too, and
-        each row counts at its cell.  For thresholds
-        grouped by ascending dimension and strictly ascending within each, as
-        in every ``fit_thresholds`` map, cell order is ``np.unique``'s order.
+        Pattern j is cell j's pattern under ``FeatureMap.cells``, the cell
+        map ``predict_probs`` reads too, and each row counts at its cell.
+        For thresholds grouped by ascending dimension and strictly ascending
+        within each, as in every ``fit_thresholds`` map, cell order is
+        ``np.unique``'s order.
         """
-        points, cell = fm.cells(X)
-        # C order: a matrix product on F-ordered patterns sums differently
-        patterns = np.ascontiguousarray(fm.indicator_matrix(points))
+        patterns, cell = fm.cells(X)
         counts = None
         if labels is not None:
             k, r = fm.num_classes, patterns.shape[0]
@@ -689,7 +682,9 @@ class ConstraintAtoms:
         return {}
 
     def scores(self, weights) -> np.ndarray:
-        """(r, K) matrix of per-pattern, per-label linear scores."""
+        """(r, K) matrix of per-pattern, per-label linear scores by one BLAS
+        product, the training objective's: its sums may differ from
+        ``pattern_scores`` in the last bits, so it only chooses weights."""
         W = np.asarray(weights, dtype=np.float64).reshape(
             self.num_classes, self.block_size
         )

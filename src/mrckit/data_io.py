@@ -132,10 +132,7 @@ def load_dataset(path, num_classes=None) -> Dataset:
     if not feat_cols:
         raise InputError(f"{path}: no feature columns")
     X = _parse_numeric(path, header, body, lines, feat_cols)
-    raw = _parse_numeric(path, header, body, lines, [label_col]).ravel()
-    labels = raw.astype(np.int64)
-    if np.any(labels != raw):
-        raise InputError(f"{path}: labels must be integers")
+    labels = _parse_numeric(path, header, body, lines, [label_col]).ravel()
     k = max(int(labels.max()), 2) if num_classes is None else int(num_classes)
     try:
         return Dataset(instances=X, labels=labels, num_classes=k)

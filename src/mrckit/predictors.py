@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, Loss, MrcModel
+from .core import Dataset, Loss, MrcModel, pattern_scores
 
 __all__ = [
     "rule_probs",
@@ -30,15 +30,15 @@ def predict_probs(model: MrcModel, X) -> np.ndarray:
     """The model's rule at instances X, at its offset (None: each row's own).
 
     Rows sharing an indicator pattern share their scores and so their rule
-    row: scores and rule run once per occupied cell of X
-    (``FeatureMap.cells``), at the cell's point, and each row takes its
-    cell's rule row.  Every rule works row by row, so the result equals the
-    rule at ``FeatureMap.score_matrix(X, model.weights)`` bit for bit and a
-    row's probabilities do not depend on the rest of the batch.
+    row: ``pattern_scores`` and the rule run once per occupied cell of X
+    (``FeatureMap.cells``), on the cell's pattern, and each row takes its
+    cell's rule row.  Scores and rules work row by row, so a row's
+    probabilities do not depend on the rest of the batch, and at a training
+    pattern they are the rule the model's bounds certify.
     """
     fm = model.features()
-    points, cell = fm.cells(X)
-    probs = rule_probs(model.loss, fm.score_matrix(points, model.weights), model.offset)
+    patterns, cell = fm.cells(X)
+    probs = rule_probs(model.loss, pattern_scores(patterns, model.weights), model.offset)
     return probs.take(cell, axis=0)
 
 

@@ -39,6 +39,7 @@ from .core import (
     beta_of_alpha,
     label_blocks,
     logsumexp,
+    pattern_scores,
 )
 from .simplex import OPTIMAL, solve_lp
 
@@ -289,9 +290,10 @@ class ReducedDual:
         eps (1 + |offset| + max|score|) until the dual constraint holds in
         floating point at every pattern, with the objective value at the
         stored offset.  An offset that already holds there, as every alpha
-        offset does, stays as it is."""
+        offset does, stays as it is.  Both score the patterns with
+        ``pattern_scores``, as prediction and the bounds do."""
         w = np.asarray(weights, dtype=np.float64)
-        scores = self.atoms.scores(w)
+        scores = pattern_scores(self.atoms.patterns, w)
         offsets = self.loss.offset(scores)
         offset = None
         if self.marginal is not None:
@@ -477,6 +479,7 @@ def train_zero_one_exact(
 
 
 def dual_feasibility_residual(model: MrcModel, atoms: ConstraintAtoms) -> float:
-    """Worst violation of the dual constraint over all patterns (<= 0 is feasible)."""
+    """Worst violation of the dual constraint over all patterns (<= 0 is
+    feasible), at the ``pattern_scores`` that prediction reads."""
     offset = model.dual_offset("dual_feasibility_residual")
-    return model.loss.residual(atoms.scores(model.weights), offset)
+    return model.loss.residual(pattern_scores(atoms.patterns, model.weights), offset)

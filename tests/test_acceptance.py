@@ -24,6 +24,7 @@ from mrckit.core import (
     LogLoss,
     ZeroOneLoss,
     beta_of_alpha,
+    pattern_scores,
 )
 from mrckit.datasets import eight_point_joint, two_class_demo_joint
 from mrckit.data_io import save_dataset
@@ -158,13 +159,13 @@ def test_criterion_3_interval_objective_is_l1_regularization():
 
 
 def _logistic_erm(w, fm, data):
-    s = fm.score_matrix(data.instances, w)
+    s = pattern_scores(fm.indicator_matrix(data.instances), w)
     diffs = s - s[np.arange(data.n), data.labels - 1][:, None]
     return float(np.mean(np.log(np.exp(diffs).sum(axis=1))))
 
 
 def _minimax_hinge_erm(w, fm, data):
-    s = fm.score_matrix(data.instances, w)
+    s = pattern_scores(fm.indicator_matrix(data.instances), w)
     k = fm.num_classes
     total = 0.0
     for i in range(data.n):
@@ -228,7 +229,7 @@ def test_criterion_5_prediction_contracts():
         w = rng.normal(size=fm.dim) * 0.6
         scores = atoms.scores(w)
         X = rng.normal(loc=0.5, scale=1.2, size=(100, 1))
-        inst_scores = fm.score_matrix(X, w)
+        inst_scores = pattern_scores(fm.indicator_matrix(X), w)
         for loss, offset in (
             (ZO, float(max_offset_zero_one(scores).min())),
             (LG, float(max_offset_log(scores).min())),

@@ -161,8 +161,11 @@ def test_non_finite_scores_name_alpha(alpha, row):
         max_offset_alpha(np.array([row]), alpha)
 
 
-@pytest.mark.parametrize("alpha, width", [("0.5", "1e300"), ("0.9", "1e300"), ("0.5", "1e200")])
-def test_cli_huge_width_below_alpha_one_exits_2(alpha, width):
+@pytest.mark.parametrize(
+    "alpha, width",
+    [("0.5", "1e300"), ("0.9", "1e300"), ("0.5", "1e200"), ("2", "1e300"), ("3", "1e300")],
+)
+def test_cli_huge_width_any_alpha_exits_2(alpha, width):
     # the subgradient iterates overflow first, with RuntimeWarnings that pytest
     # would turn into errors in-process
     data = str(ROOT / "data" / "two_class_demo.csv")
@@ -171,3 +174,14 @@ def test_cli_huge_width_below_alpha_one_exits_2(alpha, width):
     assert done.returncode == 2, done.stderr
     assert "Traceback" not in done.stderr
     assert f"alpha {alpha}" in done.stderr
+
+
+@pytest.mark.parametrize("loss", ["log", "zero-one"])
+def test_cli_huge_width_trains_log_and_zero_one(loss):
+    # the best weights stay at zero: log's offset takes the overflowed
+    # iterates without raising, and 0-1 trains by its LP
+    data = str(ROOT / "data" / "two_class_demo.csv")
+    done = _run(["-m", "mrckit.cli", "train", "--data", data, "--loss", loss,
+                 "--lambda", "1e300", "--max-iters", "200"])
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr

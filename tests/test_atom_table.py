@@ -13,6 +13,7 @@ from mrckit.core import (
     MrcModel,
     ZeroOneLoss,
     label_blocks,
+    pattern_scores,
 )
 from mrckit.datasets import two_class_demo_joint
 from mrckit.features import (
@@ -56,7 +57,7 @@ _LOSSES = [ZeroOneLoss(), LogLoss(), AlphaLoss(2.0), AlphaLoss(0.5)]
 @example(dims=2, thresholds=[(2, 0.5), (1, -0.0), (2, 0.5), (1, 0.0)], rows=1, k=3, seed=1,
          loss=_LOSSES[1], pinned=True)
 # four dimensions whose radix product 3^4 exceeds the rows: cells renumber
-# inside the counting loop and their points are decoded through it
+# inside the counting loop and their patterns are decoded through it
 @example(dims=4, thresholds=[(d, t) for d in (1, 2, 3, 4) for t in (-0.0, 2.0)], rows=20, k=2,
          seed=2, loss=_LOSSES[3], pinned=False)
 def test_cells_reproduce_the_indicator_matrix(dims, thresholds, rows, k, seed, loss, pinned):
@@ -65,30 +66,30 @@ def test_cells_reproduce_the_indicator_matrix(dims, thresholds, rows, k, seed, l
     values = np.array(_POOL + _SPECIAL + list(rng.normal(size=4)))
     X = values[rng.integers(0, values.shape[0], size=(rows, dims))]
     ind = fm.indicator_matrix(X)
-    reps, cell = fm.cells(X)
-    assert cell.shape == (rows,) and set(cell) == set(range(reps.shape[0]))
-    assert np.array_equal(fm.indicator_matrix(reps)[cell], ind)
+    patterns, cell = fm.cells(X)
+    assert cell.shape == (rows,) and set(cell) == set(range(patterns.shape[0]))
+    assert patterns.flags.c_contiguous and np.array_equal(patterns[cell], ind)
 
     # the table: one distinct pattern per cell, in cell order, and the rows' tally
     labels = rng.integers(1, k + 1, rows)
     atoms = ConstraintAtoms.from_instances(fm, X, labels)
     assert atoms.patterns.flags.c_contiguous
     assert np.unique(atoms.patterns, axis=0).shape == atoms.patterns.shape
-    assert np.array_equal(atoms.patterns, fm.indicator_matrix(reps))
+    assert np.array_equal(atoms.patterns, patterns)
     assert np.array_equal(atoms.patterns[cell], ind)
-    want_counts = np.zeros((reps.shape[0], k), dtype=np.int64)
+    want_counts = np.zeros((patterns.shape[0], k), dtype=np.int64)
     np.add.at(want_counts, (cell, labels - 1), 1)
     assert np.array_equal(atoms.counts, want_counts)
     assert ConstraintAtoms.from_instances(fm, X).counts is None
 
-    # prediction scores each cell at its decoded point: the rule at every row's
-    # own scores, bit for bit, with a box offset feasible on the table or each
+    # prediction scores each cell's pattern: the rule at every row's own
+    # scores, bit for bit, with a box offset feasible on the table or each
     # row's own
     w = rng.normal(size=fm.dim)
     offset = None if pinned else float(loss.offset(atoms.scores(w)).min())
     model = MrcModel(loss=loss, weights=w, offset=offset, objective_value=0.0,
                      num_classes=k, feature_map=fm)
-    want = rule_probs(loss, fm.score_matrix(X, w), offset)
+    want = rule_probs(loss, pattern_scores(fm.indicator_matrix(X), w), offset)
     assert predict_probs(model, X).tobytes() == want.tobytes()
 
 

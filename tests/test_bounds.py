@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mrckit.bounds import (
     bound_report,
@@ -14,13 +15,17 @@ from mrckit.bounds import (
 from mrckit.core import (
     AlphaLoss,
     ConstraintAtoms,
+    Dataset,
     ExpectationBox,
     LogLoss,
     MrcModel,
     ZeroOneLoss,
+    pattern_scores,
 )
+from mrckit.features import StumpSpec, constraint_atoms, estimate_expectations, fit_thresholds
+from mrckit.marginals import train_adversarial01, train_logreg
 from mrckit.predictors import predict_probs, rule_probs
-from mrckit.solver import SolverConfig, train_mrc, train_zero_one_exact
+from mrckit.solver import SolverConfig, dual_feasibility_residual, train_mrc, train_zero_one_exact
 from test_box_lp import distribution_lp
 
 ZO = ZeroOneLoss()
@@ -236,3 +241,59 @@ def test_bounds_refuse_fixed_marginal_models():
     ):
         with pytest.raises(ValueError, match="instance_marginal"):
             call()
+
+
+def assert_certified_rule_is_emitted(data, fm, iters):
+    """For every trainer: at one row of each training pattern, the rule of
+    the pattern's scores is ``predict_probs``'s row, and a box model's bound
+    loss table and feasibility residual read those same scores, bit for bit."""
+    atoms = constraint_atoms(fm, data)
+    box = estimate_expectations(fm, data, 0.25, atoms)
+    cfg = SolverConfig(max_iters=iters)
+    models = [
+        train_zero_one_exact(box, atoms, cfg, feature_map=fm),
+        *(train_mrc(loss, box, atoms, cfg, feature_map=fm) for loss in (ZO, LG, AlphaLoss(2.0))),
+        train_logreg(data, fm, 0.25, cfg, atoms),
+        train_adversarial01(data, fm, 0.25, cfg, atoms),
+    ]
+    # cells come in pattern order, so the first row of each is pattern j's
+    X = data.instances[np.unique(fm.cells(data.instances)[1], return_index=True)[1]]
+    for model in models:
+        scores = pattern_scores(atoms.patterns, model.weights)
+        emitted = predict_probs(model, X)
+        assert rule_probs(model.loss, scores, model.offset).tobytes() == emitted.tobytes()
+        if model.offset is None:
+            continue
+        table = model_loss_table(model, atoms)
+        assert table.tobytes() == model.loss.rule_loss(scores, model.offset).tobytes()
+        # log's table is logsumexp - score, not -log of the rule: its rows
+        # agree through the scores above
+        if model.loss != LG:
+            assert table.tobytes() == model.loss.loss_table(emitted).tobytes()
+        residual = model.loss.residual(scores, model.offset)
+        assert dual_feasibility_residual(model, atoms) == residual
+
+
+def test_the_certified_rule_is_the_emitted_rule():
+    # 2-D Gaussian instances, block 39: BLAS and a sequential sum of the
+    # patterns' weights round differently on most of its 219 patterns
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(3000, 2))
+    y = np.where(X[:, 0] + 0.5 * X[:, 1] + rng.normal(scale=0.7, size=3000) > 0, 2, 1)
+    data = Dataset(instances=X, labels=y, num_classes=2)
+    assert_certified_rule_is_emitted(data, fit_thresholds(data, StumpSpec(20)), 300)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(1, 80),
+    dims=st.integers(1, 3),
+    k=st.integers(2, 4),
+    max_leaves=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_certified_rule_is_the_emitted_rule_on_drawn_tables(n, dims, k, max_leaves, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, dims)).round(1)
+    data = Dataset(instances=X, labels=rng.integers(1, k + 1, n), num_classes=k)
+    assert_certified_rule_is_emitted(data, fit_thresholds(data, StumpSpec(max_leaves)), 60)

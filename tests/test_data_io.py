@@ -333,6 +333,7 @@ def test_load_skips_blank_rows_and_keeps_line_numbers(tmp_path):
         ("f1,label\n1,1e999\n2,z\n", ":3: non-numeric value 'z' in column 'label'", False),
         ("f1,label\n1,1.5\n2,nan\n", ": non-finite values are not supported", False),
         ("f1,label\n1,1.5\n2,1\n", ": labels must be integers", False),
+        ("f1,label\n1,1\n2,1e300\n", ": labels must be integers", False),
     ],
 )
 def test_load_reports_the_first_defect_in_file_order(tmp_path, text, message, in_features):

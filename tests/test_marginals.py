@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from mrckit import marginals
 from mrckit.core import LOG, ZERO_ONE, ConstraintAtoms, Dataset, FeatureMap, LogLoss, ZeroOneLoss
+from mrckit.core import pattern_scores
 from mrckit.features import (
     StumpSpec,
     constraint_atoms,
@@ -40,7 +41,7 @@ def random_data(rng, n=40, dim=2, k=2):
 
 def minimax_hinge_erm(w, fm, data):
     """Subset-enumeration form of the adversarial 0-1 empirical risk."""
-    s = fm.score_matrix(data.instances, w)
+    s = pattern_scores(fm.indicator_matrix(data.instances), w)
     k = fm.num_classes
     total = 0.0
     for i in range(data.n):
@@ -56,7 +57,7 @@ def minimax_hinge_erm(w, fm, data):
 
 
 def logistic_erm(w, fm, data):
-    s = fm.score_matrix(data.instances, w)
+    s = pattern_scores(fm.indicator_matrix(data.instances), w)
     picked = s[np.arange(data.n), data.labels - 1]
     return float(np.mean(np.log(np.exp(s).sum(axis=1)) - picked))
 
@@ -64,7 +65,7 @@ def logistic_erm(w, fm, data):
 def test_instance_offsets_examples():
     fm = FeatureMap(num_classes=3, thresholds=())
     # zero weights: min over subset sizes of (1 - k)/k = -2/3 and -log 3
-    scores = fm.score_matrix([[0.0]], np.zeros(3))
+    scores = pattern_scores(fm.indicator_matrix([[0.0]]), np.zeros(3))
     assert ZeroOneLoss().offset(scores)[0] == pytest.approx(-2.0 / 3.0)
     assert LogLoss().offset(scores)[0] == pytest.approx(-math.log(3.0))
 
@@ -75,7 +76,7 @@ def test_instance_offsets_match_atom_offsets():
     for _ in range(50):
         w = rng.normal(size=fm.dim)
         x = rng.normal(size=1)
-        scores = fm.score_matrix(x[None, :], w)
+        scores = pattern_scores(fm.indicator_matrix(x[None, :]), w)
         assert ZeroOneLoss().offset(scores)[0] == max_offset_zero_one(scores)[0]
         assert LogLoss().offset(scores)[0] == max_offset_log(scores)[0]
 
@@ -209,7 +210,7 @@ def test_fixed_marginal_log_rule_is_softmax():
     fm = fit_thresholds(data, StumpSpec(3))
     model = train_logreg(data, fm, 0.0, SolverConfig(max_iters=300))
     probs = predict_fixed_marginal(model, data.instances)
-    s = fm.score_matrix(data.instances, model.weights)
+    s = pattern_scores(fm.indicator_matrix(data.instances), model.weights)
     e = np.exp(s - s.max(axis=1, keepdims=True))
     np.testing.assert_allclose(probs, e / e.sum(axis=1, keepdims=True), atol=1e-12)
 

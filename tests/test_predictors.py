@@ -12,6 +12,7 @@ from mrckit.core import (
     LogLoss,
     MrcModel,
     ZeroOneLoss,
+    pattern_scores,
 )
 from mrckit.datasets import lattice_joint
 from mrckit.features import StumpSpec, constraint_atoms, fit_thresholds
@@ -123,7 +124,8 @@ def test_rows_are_distributions_for_all_losses():
             box = _consistent_box(rng, atoms)
             model = train_mrc(loss, box, atoms, SolverConfig(max_iters=200))
             X = rng.normal(size=(20, 1)) * 2.0
-            probs = rule_probs(loss, fm.score_matrix(X, model.weights), model.offset)
+            scores = pattern_scores(fm.indicator_matrix(X), model.weights)
+            probs = rule_probs(loss, scores, model.offset)
             assert np.all(probs >= -1e-12)
             np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
@@ -234,7 +236,7 @@ def test_predict_probs_is_the_rule_at_every_row_bit_for_bit(loss, pinned):
     offset = None if pinned else float(loss.offset(constraint_atoms(fm, train).scores(w)).min())
     model = make_model(loss, w, offset, fm)
     got = predict_probs(model, X)
-    want = rule_probs(loss, fm.score_matrix(X, w), offset)
+    want = rule_probs(loss, pattern_scores(fm.indicator_matrix(X), w), offset)
     assert got.flags.c_contiguous
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
