@@ -1,5 +1,8 @@
 """Shared domain types: losses, datasets, feature maps, moment boxes, models.
 
+Each loss computes its own largest feasible dual offsets, in closed form
+for 0-1 and log; alpha's root search is ``solver.max_offset_alpha``.
+
 Labels are 1-based everywhere a user can see them ({1..K}), matching the
 usual convention for class identifiers.  Array indexing is 0-based purely
 internally and never leaks into files or CLI output.
@@ -97,8 +100,9 @@ class Loss:
     (n, K) arrays of linear scores per row and label; offsets are scalars or
     per-row columns.  A subclass implements every method that raises here.
 
-    The dual-offset formulas live in ``solver`` (which imports this module),
-    so the methods reach them through that module at call time.
+    Each subclass computes its own offsets in ``active_label_weights``; only
+    alpha's root search lives in ``solver`` (which imports this module), so
+    ``AlphaLoss`` reaches ``solver.max_offset_alpha`` at call time.
     """
 
     name = "abstract"
@@ -137,7 +141,8 @@ class Loss:
         Returns (offsets, weights): weights[j] is a distribution over labels
         such that the pattern of row j written into each label block with
         these weights is a subgradient of -offset_j.  ``ReducedDual.evaluate``
-        makes one such call per objective evaluation, and one pass over the
+        makes one such call per objective evaluation, and exact 0-1 training
+        reads each cut's label subset off 0-1's weights.  One pass over the
         scores yields both, since the offset computation finds the active
         labels anyway: 0-1 from its sorted prefix, log from one exponential,
         alpha from the bases at which the offset's rounding confirmed
@@ -196,12 +201,23 @@ class ZeroOneLoss(Loss):
         return np.where(totals > 0.0, v / np.where(totals > 0.0, totals, 1.0), 1.0 / k)
 
     def active_label_weights(self, scores):
-        """Uniform weights on each row's minimizing label subset: the labels
-        whose place in the sorted order (the inverse permutation) is below
-        the subset's size."""
-        offsets, order, size = solver.max_offset_zero_one(scores, return_support=True)
+        """Largest o with sum_y (v_y + o + 1)_+ <= 1, per row, and uniform
+        weights on its minimizing label subset.
+
+        The offset is min over nonempty label subsets C of
+        (1 - sum_C (v_y + 1)) / |C|, and a minimizing C of size k collects
+        the k largest scores, so a scan over the prefixes of a stable
+        descending sort finds it; ties go to the smallest k.  The subset's
+        labels are those whose place in that order (the inverse
+        permutation) is below k.
+        """
+        rows = np.arange(scores.shape[0])
+        order = (-scores).argsort(axis=1, kind="stable")
+        k = np.arange(1.0, scores.shape[1] + 1.0)
+        cand = (1.0 - scores[rows[:, None], order].cumsum(axis=1) - k) / k
+        size = cand.argmin(axis=1) + 1
         place = order.argsort(axis=1)
-        return offsets, (place < size[:, None]) / size[:, None]
+        return cand[rows, size - 1], (place < size[:, None]) / size[:, None]
 
     def residual(self, scores, offset):
         lhs = np.clip(scores + offset + 1.0, 0.0, None).sum(axis=1)
@@ -312,7 +328,7 @@ class AlphaLoss(Loss):
         base meets a negative power: beta - 1 > 0 when beta > 1, and when
         beta < 0 every mass of a feasible row is at most 1, so every base is
         about 1 or more."""
-        offsets, bases = solver.max_offset_alpha(scores, self.alpha, return_bases=True)
+        offsets, bases = solver.max_offset_alpha(scores, self.alpha)
         weights = np.maximum(bases, 0.0) ** (self.beta - 1.0)
         return offsets, weights / weights.sum(axis=1, keepdims=True)
 
@@ -763,4 +779,4 @@ class BoundReport:
             )
 
 
-from . import solver  # noqa: E402  (solver imports this module; bound last to close the cycle)
+from . import solver  # noqa: E402  (for AlphaLoss; solver imports this module, so bound last)

@@ -7,10 +7,11 @@ optimal at its largest feasible value
 
     offset_j(w) = max { o : per-loss constraint holds at pattern j }.
 
-These maxima have closed forms for 0-1 and log losses; for alpha losses
-each is the root of a monotone equation over the top-scoring labels, a
-quadratic at alpha = 2 and safeguarded Newton steps otherwise.  Training
-minimizes
+Each loss computes these maxima in ``Loss.active_label_weights``, in
+closed form for 0-1 and log losses; for alpha losses each is the root of a
+monotone equation over the top-scoring labels, a quadratic at alpha = 2
+and safeguarded Newton steps otherwise, found here by
+``max_offset_alpha``.  Training minimizes
 
     F(w) = half_width . |w| - midpoint . w - q . offsets(w),
 
@@ -38,7 +39,6 @@ from .core import (
     alpha_masses,
     beta_of_alpha,
     label_blocks,
-    logsumexp,
     pattern_scores,
 )
 from .simplex import OPTIMAL, solve_lp
@@ -48,8 +48,6 @@ __all__ = [
     "dual_value",
     "ReducedDual",
     "ReducedObjective",
-    "max_offset_zero_one",
-    "max_offset_log",
     "max_offset_alpha",
     "subgradient_minimize",
     "train_mrc",
@@ -80,39 +78,6 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if not (math.isfinite(self.c) and self.c > 0.0):
             raise ValueError(f"step scale c must be finite and > 0, got {self.c!r}")
-
-
-def max_offset_zero_one(values, return_support=False):
-    """Largest offset o with sum_y (v_y + o + 1)_+ <= 1, rows of ``values``.
-
-    Equals min over nonempty label subsets C of (1 - sum_C (v_y + 1)) / |C|;
-    the minimizing C of size k collects the k largest scores, so a sorted
-    prefix scan suffices.  With ``return_support`` also returns, per row, the
-    sorted label order and the minimizing prefix size (deterministic
-    tie-breaks: stable sort, smallest k).
-    """
-    values = np.asarray(values, dtype=np.float64)
-    v = values if values.ndim > 1 else values[None]
-    rows = np.arange(v.shape[0])
-    order = (-v).argsort(axis=1, kind="stable")
-    sv = v[rows[:, None], order]
-    k = np.arange(1.0, v.shape[1] + 1.0)
-    cand = (1.0 - sv.cumsum(axis=1) - k) / k
-    kstar = cand.argmin(axis=1)
-    offsets = cand[rows, kstar]
-    if values.ndim == 1:
-        if return_support:
-            return float(offsets[0]), order[0], int(kstar[0]) + 1
-        return float(offsets[0])
-    if return_support:
-        return offsets, order, kstar + 1
-    return offsets
-
-
-def max_offset_log(values):
-    """Largest offset with sum_y exp(v_y + o) <= 1, i.e. -logsumexp(values)."""
-    out = -logsumexp(np.atleast_2d(np.asarray(values, dtype=np.float64)))
-    return out if np.asarray(values).ndim > 1 else float(out[0])
 
 
 _NEWTON_STEPS = 100  # cap per call; a row stops once its step is below _NEWTON_RTOL of d
@@ -173,8 +138,12 @@ def _round_down_to_feasible(values, offsets, beta, scale):
     raise RuntimeError("alpha offset did not reach the feasible side")
 
 
-def max_offset_alpha(values, alpha, return_bases=False):
-    """Largest offset o with sum_y ((v_y + o)/beta + 1)_+^beta <= 1, rows of ``values``.
+def max_offset_alpha(values, alpha):
+    """Largest offset o with sum_y ((v_y + o)/beta + 1)_+^beta <= 1 for each
+    row of the (r, K) ``values``, and the bases at it.
+
+    Returns (offsets, bases): the r offsets and the (r, K) bases
+    (v_y + o)/beta + 1 at which their feasibility was confirmed.
 
     With the top score v_1 and u_y = (v_y - v_1)/beta, the offset is
     o = beta (d - 1) - v_1 for the root d of sum_y (u_y + d)_+^beta = 1,
@@ -196,12 +165,10 @@ def max_offset_alpha(values, alpha, return_bases=False):
     that still fails), so it is feasible in floating point.  Alpha is
     validated once, here.  Raises ValueError naming alpha when a row's top
     score is not finite (weights that overflowed), and for alpha < 1 when
-    the offset overflows float64 (alpha close to 0).  With ``return_bases``
-    also returns the bases (v_y + o)/beta + 1 at the returned offsets.
+    the offset overflows float64 (alpha close to 0).
     """
     beta = beta_of_alpha(alpha)
-    values = np.asarray(values, dtype=np.float64)
-    v = values if values.ndim > 1 else values[None]
+    v = np.asarray(values, dtype=np.float64)
     top = v.max(axis=1)
     if not np.isfinite(top).all():
         raise ValueError(
@@ -230,12 +197,7 @@ def max_offset_alpha(values, alpha, return_bases=False):
             ) from None
         lo = np.maximum(1.0, hi - u.mean(axis=1))
         d = _newton_root(u, lo, lo, hi, beta)
-    out, bases = _round_down_to_feasible(
-        v, beta * (d - 1.0) - top, beta, abs(beta) + np.abs(top)
-    )
-    if values.ndim == 1:
-        out, bases = float(out[0]), bases[0]
-    return (out, bases) if return_bases else out
+    return _round_down_to_feasible(v, beta * (d - 1.0) - top, beta, abs(beta) + np.abs(top))
 
 
 def dual_value(weights, half_width, midpoint, offset) -> float:
@@ -334,21 +296,25 @@ def subgradient_minimize(value_and_grad, dim: int, cfg: SolverConfig):
 
     Subgradient steps are not descent steps, so the running best iterate is
     tracked and returned along with a convergence flag (no significant
-    improvement of the best value over the trailing window).
+    improvement of the best value over the trailing window).  An iterate
+    that overflows float64 (steps at a huge box width) has an inf or nan
+    value, which never becomes the best, so the loop runs with overflow
+    warnings silenced.
     """
     w = np.zeros(dim)
     best_w = w.copy()
     best_value = math.inf
     window = max(100, cfg.max_iters // 20)
     snapshot = math.inf
-    for t in range(1, cfg.max_iters + 1):
-        value, grad = value_and_grad(w)
-        if value < best_value:
-            best_value = value
-            best_w = w.copy()
-        if t == cfg.max_iters - window:
-            snapshot = best_value
-        w = w - cfg.c / math.sqrt(t) * grad
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, cfg.max_iters + 1):
+            value, grad = value_and_grad(w)
+            if value < best_value:
+                best_value = value
+                best_w = w.copy()
+            if t == cfg.max_iters - window:
+                snapshot = best_value
+            w = w - cfg.c / math.sqrt(t) * grad
     converged = snapshot - best_value <= CONVERGENCE_TOL * (1.0 + abs(best_value))
     return best_w, bool(converged)
 
@@ -443,14 +409,13 @@ def train_zero_one_exact(
     LP starts from the singletons, the r*K label-block rows.  Each round
     evaluates F at the LP's weights and adds, for every pattern whose offset
     lies below the LP's o by more than ``CUT_TOL``, the row of its minimizing
-    subset, the sorted prefix of ``max_offset_zero_one``: an exact
-    separation oracle, so at most r rows join per round.  The simplex
+    subset, the labels that ``ZERO_ONE.active_label_weights`` weighs: an
+    exact separation oracle, so at most r rows join per round.  The simplex
     resumes from its basis after each round.  ``cfg.max_iters`` caps the
     rounds; ``converged`` means no row was violated, which certifies the
     optimum, and a run that the cap cut returns its best round.
     """
-    K = atoms.num_classes
-    blocks = label_blocks(atoms.patterns, K)
+    blocks = label_blocks(atoms.patterns, atoms.num_classes)
     objective = ReducedObjective(ZERO_ONE, box, atoms)
     rounds = 0
     best_value, best_w = math.inf, None
@@ -462,15 +427,13 @@ def train_zero_one_exact(
         value, _ = objective.value_and_subgradient(w)
         if value < best_value:
             best_value, best_w = value, w
-        offsets, order, sizes = max_offset_zero_one(atoms.scores(w), return_support=True)
+        offsets, weights = ZERO_ONE.active_label_weights(atoms.scores(w))
         short = (offsets < o - CUT_TOL * (1.0 + abs(o))).nonzero()[0]
         converged = short.size == 0
         if converged or rounds >= cfg.max_iters:
             return None
-        sizes = sizes[short].astype(np.float64)
-        # the first |S| labels of each short pattern's score order
-        members = np.zeros((short.size, K))
-        np.put_along_axis(members, order[short], np.arange(K) < sizes[:, None], axis=1)
+        members = weights[short] > 0.0
+        sizes = members.sum(axis=1).astype(np.float64)
         rows = (members[:, :, None] * atoms.patterns[short, None, :]).reshape(short.size, -1)
         return rows, sizes, 1.0 - sizes
 

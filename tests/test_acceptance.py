@@ -46,8 +46,6 @@ from mrckit.solver import (
     ReducedObjective,
     SolverConfig,
     max_offset_alpha,
-    max_offset_log,
-    max_offset_zero_one,
     subgradient_minimize,
     train_zero_one_exact,
 )
@@ -230,11 +228,8 @@ def test_criterion_5_prediction_contracts():
         scores = atoms.scores(w)
         X = rng.normal(loc=0.5, scale=1.2, size=(100, 1))
         inst_scores = pattern_scores(fm.indicator_matrix(X), w)
-        for loss, offset in (
-            (ZO, float(max_offset_zero_one(scores).min())),
-            (LG, float(max_offset_log(scores).min())),
-            (AlphaLoss(2.0), float(max_offset_alpha(scores, 2.0).min())),
-        ):
+        for loss in (ZO, LG, AlphaLoss(2.0)):
+            offset = float(loss.offset(scores).min())
             probs = rule_probs(loss, scores, offset)
             cases += probs.shape[0]
             worst_norm = max(worst_norm, np.abs(probs.sum(axis=1) - 1.0).max())
@@ -285,7 +280,7 @@ def test_criterion_6_numerical_oracles():
                 for size in range(1, k + 1)
                 for sub in itertools.combinations(range(k), size)
             )
-            if max_offset_zero_one(v) != best:
+            if ZO.offset(v[None])[0] != best:
                 exact_equal = False
 
     worst_alpha = 0.0
@@ -293,7 +288,8 @@ def test_criterion_6_numerical_oracles():
         beta = beta_of_alpha(alpha)
         for k in (2, 3, 4):
             expect = beta * (k ** (-1.0 / beta) - 1.0)
-            worst_alpha = max(worst_alpha, abs(max_offset_alpha(np.zeros(k), alpha) - expect))
+            (got,), _ = max_offset_alpha(np.zeros((1, k)), alpha)
+            worst_alpha = max(worst_alpha, abs(got - expect))
 
     patterns = np.array([[1.0, 0.0], [1.0, 1.0]])
     atoms = ConstraintAtoms(patterns=patterns, num_classes=2)

@@ -39,7 +39,7 @@ def toy_model():
     # indicator patterns are reachable
     patterns = np.array([[1, a, b] for a in (0, 1) for b in (0, 1)], dtype=float)
     W = weights.reshape(2, 3)
-    offset = min(max_offset_alpha(p @ W.T, 2.0) for p in patterns)
+    offset = float(max_offset_alpha(patterns @ W.T, 2.0)[0].min())
     return MrcModel(
         loss=AlphaLoss(2.0),
         weights=weights,

@@ -25,10 +25,9 @@ from mrckit.marginals import (
 from mrckit.solver import (
     ReducedDual,
     SolverConfig,
-    max_offset_log,
-    max_offset_zero_one,
     subgradient_minimize,
 )
+from test_solver import enumerate_offset_zero_one
 
 
 def random_data(rng, n=40, dim=2, k=2):
@@ -77,8 +76,10 @@ def test_instance_offsets_match_atom_offsets():
         w = rng.normal(size=fm.dim)
         x = rng.normal(size=1)
         scores = pattern_scores(fm.indicator_matrix(x[None, :]), w)
-        assert ZeroOneLoss().offset(scores)[0] == max_offset_zero_one(scores)[0]
-        assert LogLoss().offset(scores)[0] == max_offset_log(scores)[0]
+        zero_one = enumerate_offset_zero_one(scores[0])
+        assert ZeroOneLoss().offset(scores)[0] == pytest.approx(zero_one, rel=0, abs=1e-12)
+        log = -np.log(np.exp(scores).sum(axis=1))[0]
+        assert LogLoss().offset(scores)[0] == pytest.approx(log, rel=0, abs=1e-12)
 
 
 def test_adversarial_objective_at_zero():
@@ -191,6 +192,16 @@ def test_logreg_training_matches_scipy_optimum():
     # subgradient steps close in at O(1/sqrt(T)); 1e-2 is what the budget buys
     assert model.objective_value <= ref.fun + 1e-2
     assert model.objective_value >= ref.fun - 1e-9
+
+
+def test_logreg_at_a_width_that_overflows_keeps_zero_weights():
+    # as for the MRC duals: overflowed iterates never become the best one,
+    # and no overflow warning leaves the subgradient loop
+    data = random_data(np.random.default_rng(4), k=3)
+    fm = fit_thresholds(data, StumpSpec(3))
+    model = train_logreg(data, fm, 1e300, SolverConfig(max_iters=200))
+    assert not model.weights.any()
+    assert model.objective_value == pytest.approx(math.log(3.0), abs=1e-12)
 
 
 def test_predict_fixed_marginal_rules():

@@ -66,7 +66,7 @@ def test_log_probs_shift_invariance():
 
 
 def test_alpha_probs_uniform_at_zero_weights():
-    off = max_offset_alpha(np.zeros(2), 2.0)
+    (off,), _ = max_offset_alpha(np.zeros((1, 2)), 2.0)
     probs = AlphaLoss(2.0).rule(np.zeros((1, 2)), off)
     np.testing.assert_allclose(probs, 0.5, atol=1e-9)
 
@@ -189,7 +189,7 @@ def test_predict_wrappers_and_dispatch():
     mlog = make_model(LG, [0.3, 0.0, -0.2, 0.0], -0.7, fm)
     labels = predict_labels(mlog, X)
     assert labels[0] == 1  # highest score wins
-    off = max_offset_alpha(np.zeros(2), 2.0)
+    (off,), _ = max_offset_alpha(np.zeros((1, 2)), 2.0)
     ma = make_model(AlphaLoss(2.0), np.zeros(4), off, fm)
     np.testing.assert_allclose(predict_probs(ma, X), 0.5, atol=1e-9)
 

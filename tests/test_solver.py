@@ -24,8 +24,6 @@ from mrckit.solver import (
     dual_feasibility_residual,
     dual_value,
     max_offset_alpha,
-    max_offset_log,
-    max_offset_zero_one,
     train_mrc,
     train_zero_one_exact,
 )
@@ -87,10 +85,18 @@ def random_box(rng, atoms, n=25):
 # ---------------------------------------------------------------- offsets
 
 
+def zero_one_offset(v):
+    return ZO.offset(np.array([v], dtype=np.float64))[0]
+
+
+def alpha_offset(v, alpha):
+    return max_offset_alpha(np.array([v], dtype=np.float64), alpha)[0][0]
+
+
 def test_offset_zero_one_examples():
-    assert max_offset_zero_one([0.0, 0.0]) == pytest.approx(-0.5)
-    assert max_offset_zero_one([0.6, -0.8]) == pytest.approx(-0.6)
-    assert max_offset_zero_one([-2.0, -2.0]) == pytest.approx(1.5)
+    assert zero_one_offset([0.0, 0.0]) == pytest.approx(-0.5)
+    assert zero_one_offset([0.6, -0.8]) == pytest.approx(-0.6)
+    assert zero_one_offset([-2.0, -2.0]) == pytest.approx(1.5)
 
 
 def test_offset_zero_one_equals_enumeration_exactly():
@@ -99,22 +105,46 @@ def test_offset_zero_one_equals_enumeration_exactly():
     for k in range(2, 7):
         for _ in range(200):
             v = rng.integers(-512, 512, size=k) / 256.0
-            assert max_offset_zero_one(v) == enumerate_offset_zero_one(v)
+            assert zero_one_offset(v) == enumerate_offset_zero_one(v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda k: st.lists(st.integers(-8, 8), min_size=k, max_size=k)))
+def test_zero_one_weights_pick_a_smallest_minimizing_subset(ints):
+    # dyadic scores drawn from a few values, so ties are common and every sum exact
+    v = np.array(ints, dtype=np.float64) / 4.0
+    offsets, weights = ZO.active_label_weights(v[None])
+    best = enumerate_offset_zero_one(v)
+    assert offsets[0] == best
+    sizes = [
+        size
+        for size in range(1, len(v) + 1)
+        for sub in itertools.combinations(range(len(v)), size)
+        if (1.0 - sum(v[i] + 1.0 for i in sub)) / size == best
+    ]
+    members = weights[0] > 0.0
+    size = int(members.sum())
+    assert size == min(sizes)
+    assert np.array_equal(weights[0][members], np.full(size, 1.0 / size))
+    assert (1.0 - (v[members] + 1.0).sum()) / size == best
 
 
 def test_offset_zero_one_saturates_constraint():
     rng = np.random.default_rng(1)
     for _ in range(100):
         v = rng.normal(size=4)
-        off = max_offset_zero_one(v)
+        off = zero_one_offset(v)
         assert np.clip(v + off + 1.0, 0.0, None).sum() <= 1.0 + 1e-12
         assert np.clip(v + off + 1e-9 + 1.0, 0.0, None).sum() > 1.0
 
 
 def test_offset_log_examples():
-    assert max_offset_log([0.0, 0.0, 0.0]) == pytest.approx(-math.log(3.0))
-    assert max_offset_log([0.0, 0.0]) == pytest.approx(-math.log(2.0))
-    assert max_offset_log([0.0, math.log(3.0)]) == pytest.approx(-math.log(4.0))
+    def offset(v):
+        return LG.offset(np.array([v]))[0]
+
+    assert offset([0.0, 0.0, 0.0]) == pytest.approx(-math.log(3.0))
+    assert offset([0.0, 0.0]) == pytest.approx(-math.log(2.0))
+    assert offset([0.0, math.log(3.0)]) == pytest.approx(-math.log(4.0))
 
 
 def test_offset_alpha_closed_forms_at_zero():
@@ -123,17 +153,18 @@ def test_offset_alpha_closed_forms_at_zero():
         beta = beta_of_alpha(alpha)
         for k in (2, 3, 4):
             expect = beta * (k ** (-1.0 / beta) - 1.0)
-            got = max_offset_alpha(np.zeros(k), alpha)
+            got = alpha_offset(np.zeros(k), alpha)
             assert got == pytest.approx(expect, abs=1e-9)
-    assert max_offset_alpha(np.zeros(2), 2.0) == pytest.approx(math.sqrt(2) - 2, abs=1e-9)
-    assert max_offset_alpha(np.zeros(4), 2.0) == pytest.approx(-1.0, abs=1e-9)
+    assert alpha_offset(np.zeros(2), 2.0) == pytest.approx(math.sqrt(2) - 2, abs=1e-9)
+    assert alpha_offset(np.zeros(4), 2.0) == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_offset_alpha_approaches_log_offset():
     rng = np.random.default_rng(2)
     for _ in range(10):
         v = rng.normal(size=3)
-        assert max_offset_alpha(v, 1.0001) == pytest.approx(max_offset_log(v), abs=1e-3)
+        log_offset = -math.log(np.exp(v).sum())
+        assert alpha_offset(v, 1.0001) == pytest.approx(log_offset, abs=1e-3)
 
 
 def test_offset_alpha_saturates_constraint_both_signs():
@@ -142,7 +173,7 @@ def test_offset_alpha_saturates_constraint_both_signs():
         beta = beta_of_alpha(alpha)
         for _ in range(50):
             v = rng.normal(size=3)
-            off = max_offset_alpha(v, alpha)
+            off = alpha_offset(v, alpha)
             t = (v + off) / beta + 1.0
             if beta > 0:
                 s = (np.clip(t, 0.0, None) ** beta).sum()
@@ -261,6 +292,16 @@ def test_huge_widths_drive_weights_to_zero():
     assert m01.objective_value == pytest.approx(0.5, abs=1e-4)
     mlog = train_mrc(LG, box, atoms, SolverConfig(max_iters=2000))
     assert mlog.objective_value == pytest.approx(math.log(2), abs=1e-4)
+
+
+def test_log_at_a_width_that_overflows_keeps_zero_weights():
+    # the iterates overflow float64 within a few steps; the zero start stays
+    # the best iterate, and no overflow warning leaves the loop
+    atoms = random_atoms(np.random.default_rng(9), r=4)
+    box = ExpectationBox(np.full(atoms.dim, 0.25), np.full(atoms.dim, 1e300), 25)
+    model = train_mrc(LG, box, atoms, SolverConfig(max_iters=200))
+    assert not model.weights.any()
+    assert model.objective_value == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_exact_lp_label_frequency():
