@@ -2,9 +2,13 @@
 
 Thresholds come from one-dimensional decision stumps grown independently per
 instance dimension: greedy binary splits maximizing Gini impurity decrease,
-up to a leaf budget per dimension.  A split between consecutive distinct
-values a < b sits at their midpoint, or at a where the midpoint rounds up
-to b.
+up to a leaf budget per dimension.  Each column is sorted once and collapsed
+to its distinct values with per-class counts, and splits are searched over
+the boundaries between distinct values, never over rows.  Tied rows are
+never separated and their counts do not depend on their order, so an
+unstable sort gives the same thresholds.  A split between consecutive
+distinct values a < b sits at their midpoint, or at a where the midpoint
+rounds up to b.
 """
 
 from __future__ import annotations
@@ -44,61 +48,89 @@ class StumpSpec:
 
 
 def _gini_score(counts):
-    """sum_c n_c^2 / n per row of a (..., C) count array; no row may be empty."""
-    return (counts.astype(np.float64) ** 2).sum(axis=-1) / counts.sum(axis=-1)
+    """sum_c n_c^2 / n per column of a (C, ...) float array of integer
+    counts, classes along the first axis; no column may be empty."""
+    return (counts * counts).sum(axis=0) / counts.sum(axis=0)
 
 
-def _best_split(cuts, cum, lo, hi):
-    """Best Gini split of the sorted slice [lo, hi).
+def _best_split(cum, lo, hi):
+    """Best Gini split of the leaf holding the distinct values [lo, hi).
 
-    ``cuts`` holds the sorted positions b with values[b-1] != values[b], the
-    only boundaries that qualify, and ``cum`` the cumulative class counts
-    over the sorted order with a leading zero row.  Returns (gain, boundary)
-    where the left part is [lo, boundary), or (0.0, -1) when the slice holds
-    one distinct value; gain is the decrease of count-weighted Gini impurity.
+    ``cum`` holds the label-major prefix counts, exact in float64:
+    cum[c, j] rows of class c + 1 take one of the j smallest distinct
+    values.  Every boundary strictly inside the leaf qualifies.  Returns
+    (gain, boundary) where the left part is [lo, boundary), or (0.0, -1)
+    when the leaf holds one distinct value; gain is the decrease of
+    count-weighted Gini impurity.
     """
-    boundaries = cuts[np.searchsorted(cuts, lo, side="right") : np.searchsorted(cuts, hi)]
-    if boundaries.size == 0:
+    if hi - lo < 2:
         return 0.0, -1
-    left = cum[boundaries] - cum[lo]
-    right = cum[hi] - cum[boundaries]
+    # counts left of each boundary lo+1..hi; the last is the whole leaf
+    left = cum[:, lo + 1 : hi + 1] - cum[:, lo, None]
+    right = left[:, -1, None] - left[:, :-1]
     # weighted impurity n*G(S) = n - sum n_c^2/n, so the decrease is
     # sum n_c^2/n (left) + (right) - (parent); no part is empty
-    gains = _gini_score(left) + _gini_score(right) - _gini_score(cum[hi] - cum[lo])
+    scores = _gini_score(left)
+    gains = scores[:-1] + _gini_score(right) - scores[-1]
     k = int(np.argmax(gains))
-    return float(gains[k]), int(boundaries[k])
+    return float(gains[k]), lo + 1 + k
 
 
 def stump_thresholds_1d(values, labels, num_classes, max_leaves):
     """Split values of one dimension greedily, best first; returns sorted thresholds.
 
+    ``values`` must be finite and ``labels`` hold one integer in
+    1..``num_classes`` per value; ValueError otherwise.  The values are
+    sorted once and collapsed to their G distinct values, with the count of
+    each class at each; a leaf is a run of distinct values and its split
+    search reads only those counts.  A split never separates tied rows, and
+    the counts are integers exact in float64, so the order the sort leaves
+    ties in (it need not be stable) changes no threshold.
+
     Each leaf's best split is searched once, when the leaf is made, and kept
     with it in insertion order; each round splits the first leaf of largest
     gain, so 2L-1 searches grow L leaves.  Growth stops at the leaf budget,
     or when no split decreases impurity (perfectly mixed labels at every
-    candidate yield no thresholds).  A split between sorted neighbours a < b
-    gets the threshold 0.5a + 0.5b, or a where that rounds up to b, so
-    a <= t < b holds for all finite values.
+    candidate yield no thresholds).  A split between distinct neighbours
+    a < b gets the threshold 0.5a + 0.5b, or a where that rounds up to b,
+    so a <= t < b.
     """
-    order = np.argsort(values, kind="stable")
-    v = np.asarray(values, dtype=np.float64)[order]
-    n = v.shape[0]
-    cuts = np.flatnonzero(v[1:] != v[:-1]) + 1
-    cum = np.zeros((n + 1, num_classes), dtype=np.int64)
-    onehot = np.asarray(labels)[order, None] - 1 == np.arange(num_classes)
-    np.cumsum(onehot, axis=0, dtype=np.int64, out=cum[1:])
+    values = np.asarray(values, dtype=np.float64)
+    labels = np.asarray(labels)
+    if values.ndim != 1 or labels.shape != values.shape:
+        raise ValueError(f"want one label per value: {labels.shape} labels, {values.shape} values")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
+    if labels.size and (
+        labels.dtype.kind not in "iu" or labels.min() < 1 or labels.max() > num_classes
+    ):
+        raise ValueError(f"labels must be integers in 1..{num_classes}")
+    n = values.shape[0]
+    order = np.argsort(values)
+    v = values[order]
+    first = np.ones(n, dtype=bool)  # the first row of each run of equal values
+    np.not_equal(v[1:], v[:-1], out=first[1:])
+    u = v[first]
+    g = u.shape[0]
+    # one cell per (class, distinct value), label-major, so that each class's
+    # counts are contiguous; in float64 every count, square and sum of them
+    # is exact while n**2 < 2**53
+    cells = (labels[order].astype(np.int64, copy=False) - 1) * g + np.cumsum(first) - 1
+    counts = np.bincount(cells, minlength=num_classes * g).reshape(num_classes, g)
+    cum = np.zeros((num_classes, g + 1))
+    np.cumsum(counts, axis=1, out=cum[:, 1:])
 
-    leaves = {(0, n): _best_split(cuts, cum, 0, n)}
+    leaves = {(0, g): _best_split(cum, 0, g)}
     thresholds = []
     while len(leaves) < max_leaves:
-        (lo, hi), (gain, b) = max(leaves.items(), key=lambda leaf: leaf[1][0])
-        if b < 0 or gain <= _MIN_GINI_GAIN * max(1, n):
+        (lo, hi), (gain, j) = max(leaves.items(), key=lambda leaf: leaf[1][0])
+        if j < 0 or gain <= _MIN_GINI_GAIN * max(1, n):
             break
         del leaves[lo, hi]
-        leaves[lo, b] = _best_split(cuts, cum, lo, b)
-        leaves[b, hi] = _best_split(cuts, cum, b, hi)
-        t = 0.5 * v[b - 1] + 0.5 * v[b]
-        thresholds.append(t if t < v[b] else v[b - 1])
+        leaves[lo, j] = _best_split(cum, lo, j)
+        leaves[j, hi] = _best_split(cum, j, hi)
+        t = 0.5 * u[j - 1] + 0.5 * u[j]
+        thresholds.append(t if t < u[j] else u[j - 1])
     return sorted(thresholds)
 
 

@@ -122,6 +122,56 @@ def test_thresholds_match_the_round_by_round_reference(case):
         assert [t.hex() for t in got] == [t.hex() for t in want]
 
 
+@settings(max_examples=300, deadline=None)
+@given(case=stump_inputs(), seed=st.integers(0, 2**32 - 1))
+def test_thresholds_do_not_depend_on_row_order(case, seed):
+    values, labels, k, leaves = case
+    perm = np.random.default_rng(seed).permutation(values.size)
+    got = stump_thresholds_1d(values[perm], labels[perm], k, leaves)
+    want = stump_thresholds_1d(values, labels, k, leaves)
+    assert [t.hex() for t in got] == [t.hex() for t in want]
+
+
+@pytest.mark.parametrize(
+    "decimals, k, seed",
+    [(None, 3, 0), (None, 10, 1), (0, 2, 2), (0, 10, 3), (1, 5, 4), (2, 7, 5)],
+)
+def test_thresholds_match_the_reference_at_scale(decimals, k, seed):
+    # 20 000 rows, continuous or rounded to few decimals (many ties), with
+    # labels that drift with the value and 20% of them redrawn at random
+    rng = np.random.default_rng(seed)
+    values = rng.normal(scale=3.0, size=20_000)
+    if decimals is not None:
+        values = np.round(values, decimals)
+    labels = 1 + np.floor(k * (np.sin(values) + 1.0) / 2.0).astype(np.int64).clip(0, k - 1)
+    noisy = rng.random(values.size) < 0.2
+    labels[noisy] = rng.integers(1, k + 1, noisy.sum())
+    got = stump_thresholds_1d(values, labels, k, 20)
+    assert len(got) == 19
+    u = np.unique(values)
+    assert np.all(0.5 * (u[:-1] + u[1:]) < u[1:])  # the reference's midpoints stay below b
+    want = reference_stump_thresholds(values, labels, k, 20)
+    assert [t.hex() for t in got] == [t.hex() for t in want]
+
+
+@pytest.mark.parametrize(
+    "values, labels",
+    [
+        ([0.0, 1.0, 2.0, 3.0], [1, 2, 3, 1]),  # label above num_classes
+        ([0.0, 1.0, 2.0, 3.0], [0, 1, 2, 1]),  # label below 1
+        ([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 1.0, 2.0]),  # labels not integers
+        (np.arange(8.0), [1, 2, 1]),  # fewer labels than values
+        (np.arange(8.0).reshape(4, 2), [1, 2, 1, 2]),  # values not one column
+        ([0.0, np.nan, 2.0, 3.0], [1, 2, 1, 2]),
+        ([0.0, 1.0, np.inf, 3.0], [1, 2, 1, 2]),
+        ([-np.inf, 1.0, 2.0, 3.0], [1, 2, 1, 2]),
+    ],
+)
+def test_stump_thresholds_reject_malformed_inputs(values, labels):
+    with pytest.raises(ValueError):
+        stump_thresholds_1d(np.asarray(values), np.asarray(labels), 2, 5)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=20),
