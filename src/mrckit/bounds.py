@@ -10,7 +10,8 @@ By LP duality L(t) = -min E_p[t] over the distributions p on the observed
 patterns whose feature expectations lie in the box, so the lower bound is
 -L(eps) for the model's own losses and the worst-case risk of any rule is
 L(-eps) for that rule's losses.  Both restrict attention to the observed
-constraint patterns, matching how the models were trained.
+constraint patterns, matching how the models were trained.  Each reads
+L(t) as G_t(w) >= L(t) at the LP's weights, never off the tableau.
 """
 
 from __future__ import annotations
@@ -55,8 +56,7 @@ def lower_bound(
     """Risk lower bound: the smallest expected loss of the model's own rule
     over the distributions on the patterns that the box admits, -L(eps)."""
     eps = model_loss_table(model, atoms).ravel()
-    rows = label_blocks(atoms.patterns, atoms.num_classes)
-    return 0.0 - solve_box_lp(box, rows, 1.0, eps, solve_lp)[1]  # +0.0, not -0.0
+    return 0.0 - _program_value(box, atoms, eps)  # +0.0, not -0.0
 
 
 def worst_case_risk(
@@ -72,8 +72,14 @@ def worst_case_risk(
         raise ValueError(
             f"loss table has shape {eps.shape}, need ({atoms.count}, {atoms.num_classes})"
         )
+    return _program_value(box, atoms, -eps.ravel())
+
+
+def _program_value(box: ExpectationBox, atoms: ConstraintAtoms, t) -> float:
+    """G_t(w) = half_width.|w| - midpoint.w - min(t - rows.w) at the label-block LP's w."""
     rows = label_blocks(atoms.patterns, atoms.num_classes)
-    return solve_box_lp(box, rows, 1.0, -eps.ravel(), solve_lp)[1]
+    w = solve_box_lp(box, rows, 1.0, t, solve_lp)
+    return dual_value(w, box.half_width, box.midpoint, float(np.min(t - rows @ w)))
 
 
 def generalization_slack(widths, weights, n: int) -> dict:

@@ -141,8 +141,9 @@ class Loss:
         Returns (offsets, weights): weights[j] is a distribution over labels
         such that the pattern of row j written into each label block with
         these weights is a subgradient of -offset_j.  ``ReducedDual.evaluate``
-        makes one such call per objective evaluation, and exact 0-1 training
-        reads each cut's label subset off 0-1's weights.  One pass over the
+        makes one such call per objective evaluation and returns both, so
+        each exact 0-1 round reads its cuts' label subsets off 0-1's weights
+        from that same call, and log's rule is its weights.  One pass over the
         scores yields both, since the offset computation finds the active
         labels anyway: 0-1 from its sorted prefix, log from one exponential,
         alpha from the bases at which the offset's rounding confirmed
@@ -237,11 +238,9 @@ class LogLoss(Loss):
         return _xlogx(p.sum(axis=-1)).sum(axis=-1) - _xlogx(p).sum(axis=(-2, -1))
 
     def rule(self, scores, offset):
-        """Row softmax of the scores; any offset, None included, cancels."""
-        v = np.atleast_2d(scores)
-        v = v - v.max(axis=1, keepdims=True)
-        e = np.exp(v)
-        return e / e.sum(axis=1, keepdims=True)
+        """Row softmax of the scores, the label weights of
+        ``active_label_weights``; any offset, None included, cancels."""
+        return self.active_label_weights(np.atleast_2d(scores))[1]
 
     def rule_loss(self, scores, offset):
         """logsumexp(scores) - score, offset-free."""

@@ -20,7 +20,8 @@ frequencies when the instances' marginal is pinned too.  For the box with
 0-1 loss F is piecewise linear and its minimum an LP over one row per
 (pattern, label subset), which ``train_zero_one_exact`` solves exactly for
 any class count by generating only the subset rows the optimum needs; every
-other dual is minimized by subgradient descent.
+other dual is minimized by subgradient descent.  Either way each iterate
+costs one ``ReducedDual.evaluate``: one scoring of the patterns.
 """
 
 from __future__ import annotations
@@ -224,10 +225,10 @@ class ReducedDual:
             raise ValueError(f"dual dimension {len(self.midpoint)} != atoms {self.atoms.dim}")
 
     def evaluate(self, weights):
-        """Value, one subgradient and the per-pattern offsets at ``weights``.
+        """(value, subgradient, offsets, label_weights) at ``weights``, all
+        from one ``active_label_weights`` call on one scoring of the patterns.
 
-        One ``active_label_weights`` call gives the offsets and their label
-        weights.  The box keeps the smallest offset, and d(-offset)/dw is its
+        The box keeps the smallest offset, and d(-offset)/dw is its
         pattern written into each label block with its label weights: one
         outer product.  A pinned marginal q sums every pattern's, scaled by
         its q, in one product of the transposed weights with the patterns.
@@ -242,7 +243,8 @@ class ReducedDual:
             offset = self.marginal @ offsets
             grad_offset = (label_weights.T * self.marginal) @ self.atoms.patterns
         value = dual_value(w, self.half_width, self.midpoint, offset)
-        return value, self.half_width * np.sign(w) - self.midpoint + grad_offset.ravel(), offsets
+        grad = self.half_width * np.sign(w) - self.midpoint + grad_offset.ravel()
+        return value, grad, offsets, label_weights
 
     def model(self, weights, feature_map=None, converged=True) -> MrcModel:
         """The trained model at ``weights``.  A pinned marginal's carries no
@@ -282,17 +284,17 @@ class ReducedDual:
 
 
 class ReducedObjective(ReducedDual):
-    """The reduced dual of a feature-expectation box and one of its subgradients."""
+    """A feature-expectation box's reduced dual, evaluated as ``value_and_subgradient``."""
 
     def __init__(self, loss: Loss, box: ExpectationBox, atoms: ConstraintAtoms):
         super().__init__(loss, atoms, box.half_width, box.midpoint)
 
-    def value_and_subgradient(self, weights):
-        return self.evaluate(weights)[:2]
+    value_and_subgradient = ReducedDual.evaluate
 
 
 def subgradient_minimize(value_and_grad, dim: int, cfg: SolverConfig):
-    """Generic best-iterate subgradient loop from the zero start.
+    """Generic best-iterate subgradient loop from the zero start, reading
+    the value and a subgradient off ``value_and_grad(w)[:2]``.
 
     Subgradient steps are not descent steps, so the running best iterate is
     tracked and returned along with a convergence flag (no significant
@@ -308,7 +310,7 @@ def subgradient_minimize(value_and_grad, dim: int, cfg: SolverConfig):
     snapshot = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, cfg.max_iters + 1):
-            value, grad = value_and_grad(w)
+            value, grad = value_and_grad(w)[:2]
             if value < best_value:
                 best_value = value
                 best_w = w.copy()
@@ -334,9 +336,7 @@ def train_mrc(
     if loss == ZERO_ONE:
         return train_zero_one_exact(box, atoms, cfg, feature_map)
     objective = ReducedObjective(loss, box, atoms)
-    best_w, converged = subgradient_minimize(
-        objective.value_and_subgradient, box.dim, cfg
-    )
+    best_w, converged = subgradient_minimize(objective.value_and_subgradient, box.dim, cfg)
     return objective.model(best_w, feature_map, converged)
 
 
@@ -350,9 +350,9 @@ def solve_box_lp(box: ExpectationBox, rows, sizes, rhs, solve_lp, cuts=None):
     right-hand side t + sizes*shift non-negative, as ``solve_lp`` requires.
     ``sizes`` must be positive.  ``cuts(w, o)``, when given, is called at
     each optimum and returns further (rows, sizes, t), or None when it has
-    none.  Returns the weights and L(t) over all rows.  Training and the
-    bound programs pass their own module's ``solve_lp``, so profiles tell
-    their LPs apart.
+    none.  Returns the optimal weights only, at which ``bounds`` evaluates
+    L(t).  Training and the bound programs pass their own module's
+    ``solve_lp``, so profiles tell their LPs apart.
 
     ``solve_lp`` always gets a cuts callback, one that returns None when
     the caller has no cuts, so that it seeks its first optimum with
@@ -390,7 +390,7 @@ def solve_box_lp(box: ExpectationBox, rows, sizes, rhs, solve_lp, cuts=None):
             f"box LP {res.status}: the box excludes every distribution "
             "supported on the constraint patterns"
         )
-    return res.x[:m] - res.x[m : 2 * m], res.value + shift
+    return res.x[:m] - res.x[m : 2 * m]
 
 
 def train_zero_one_exact(
@@ -407,11 +407,11 @@ def train_zero_one_exact(
     which linearize the positive parts of the 0-1 dual constraint, grown by
     constraint generation (as Bondugula, Mazuelas & Perez, UAI 2023).  The
     LP starts from the singletons, the r*K label-block rows.  Each round
-    evaluates F at the LP's weights and adds, for every pattern whose offset
-    lies below the LP's o by more than ``CUT_TOL``, the row of its minimizing
-    subset, the labels that ``ZERO_ONE.active_label_weights`` weighs: an
-    exact separation oracle, so at most r rows join per round.  The simplex
-    resumes from its basis after each round.  ``cfg.max_iters`` caps the
+    evaluates F once at the LP's weights and adds, for every pattern whose
+    offset lies below the LP's o by more than ``CUT_TOL``, the row of its
+    minimizing subset, the labels that the same evaluation's 0-1 label
+    weights weigh: an exact separation oracle, so at most r rows join per
+    round.  The simplex resumes from its basis after each round.  ``cfg.max_iters`` caps the
     rounds; ``converged`` means no row was violated, which certifies the
     optimum, and a run that the cap cut returns its best round.
     """
@@ -424,10 +424,9 @@ def train_zero_one_exact(
     def cuts(w, o):
         nonlocal rounds, best_value, best_w, converged
         rounds += 1
-        value, _ = objective.value_and_subgradient(w)
+        value, _, offsets, weights = objective.value_and_subgradient(w)
         if value < best_value:
             best_value, best_w = value, w
-        offsets, weights = ZERO_ONE.active_label_weights(atoms.scores(w))
         short = (offsets < o - CUT_TOL * (1.0 + abs(o))).nonzero()[0]
         converged = short.size == 0
         if converged or rounds >= cfg.max_iters:

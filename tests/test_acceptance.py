@@ -306,7 +306,7 @@ def test_criterion_6_numerical_oracles():
     for _ in range(10):
         w = rng.normal(size=4)
         w = np.where(np.abs(w) < 0.1, 0.4, w)
-        _, grad = ro.value_and_subgradient(w)
+        grad = ro.value_and_subgradient(w)[1]
         fd = np.zeros(4)
         for i in range(4):
             e = np.zeros(4)

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,14 +23,16 @@ from mrckit.core import (
     ZeroOneLoss,
     pattern_scores,
 )
+from mrckit.data_io import load_dataset
 from mrckit.features import StumpSpec, constraint_atoms, estimate_expectations, fit_thresholds
 from mrckit.marginals import train_adversarial01, train_logreg
-from mrckit.predictors import predict_probs, rule_probs
+from mrckit.predictors import empirical_risk, predict_probs, rule_probs
 from mrckit.solver import SolverConfig, dual_feasibility_residual, train_mrc, train_zero_one_exact
 from test_box_lp import distribution_lp
 
 ZO = ZeroOneLoss()
 LG = LogLoss()
+DEMO = Path(__file__).resolve().parent.parent / "data" / "two_class_demo.csv"
 
 
 def label_frequency_fixture():
@@ -142,6 +145,20 @@ def test_sandwich_on_trained_models():
             mid = worst_case_risk(table, box, atoms)
             assert lo <= mid + 1e-8
             assert mid <= up + 1e-6  # worst case of the own rule at most the dual value
+
+
+def test_zero_width_lower_bound_does_not_exceed_the_empirical_risk():
+    # at zero width the box is the empirical mean alone, so the exact 0-1
+    # model's risk on its training data meets both bounds: the lower bound,
+    # read at the LP's weights, must not land above it by rounding
+    data = load_dataset(str(DEMO))
+    fm = fit_thresholds(data, StumpSpec(20))
+    atoms = constraint_atoms(fm, data)
+    box = estimate_expectations(fm, data, 0.0, atoms)
+    model = train_mrc(ZO, box, atoms, feature_map=fm)
+    report = bound_report(model, box, atoms)
+    risk = empirical_risk(ZO, predict_probs(model, data.instances), data)
+    assert report.lower <= risk <= report.upper
 
 
 def test_worst_case_uniform_rule():

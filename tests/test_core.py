@@ -219,3 +219,24 @@ def test_bound_report_orders_bounds():
     BoundReport(upper=0.5, lower=0.5)
     with pytest.raises(ValueError):
         BoundReport(upper=0.3, lower=0.5)
+
+
+def test_alpha_rule_renormalizes_rows_just_over_one():
+    # alpha 2 (beta 2) at scores (0, -10): the first base is
+    # (o/2 + 1)^2 = 1 + 1e-12 and the second 0, so the row sums within
+    # (1, 1 + 1e-9] and is renormalized rather than given a negative slack
+    loss = AlphaLoss(2.0)
+    offset = 2.0 * (np.sqrt(1.0 + 1e-12) - 1.0)
+    near = np.array([[0.0, -10.0]])
+    base = loss.base_masses(near, offset)
+    totals = base.sum(axis=1)
+    assert 1.0 < totals[0] <= 1.0 + 1e-9
+    # a second row at scores (1, -10) sums to 2.25 > 1 + 1e-9 at that
+    # offset, so it takes its own largest feasible one
+    far = np.array([[1.0, -10.0]])
+    assert loss.base_masses(far, offset).sum() > 1.0 + 1e-9
+    out = loss.rule(np.vstack([near, far]), offset)
+    assert np.all(out >= 0.0)
+    assert np.allclose(out.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+    assert np.array_equal(out[0], base[0] / totals[0])
+    assert np.array_equal(out[1], loss.rule(far, None)[0])

@@ -50,7 +50,7 @@ def test_box_dual_is_the_one_hot_formula_bit_for_bit(table, loss):
         value = float(box.half_width @ np.abs(w) - box.midpoint @ w - q @ offsets)
         grad_offset = (label_weights * q[:, None]).T @ atoms.patterns
         grad = box.half_width * np.sign(w) - box.midpoint + grad_offset.ravel()
-        got_value, got_grad = ro.value_and_subgradient(w)
+        got_value, got_grad = ro.value_and_subgradient(w)[:2]
         assert got_value == value
         assert np.array_equal(got_grad, grad)
         # the one-hot weighting is the smallest offset with its pattern's label weights
@@ -81,8 +81,10 @@ def reduced_duals(draw):
 @given(case=reduced_duals())
 def test_evaluate_is_the_offset_formula_with_a_subgradient(case):
     dual, w, others = case
-    value, grad, offsets = dual.evaluate(w)
+    value, grad, offsets, label_weights = dual.evaluate(w)
     scores = dual.atoms.scores(w)
+    # the label weights are those of the one active_label_weights call, bit for bit
+    assert label_weights.tobytes() == dual.loss.active_label_weights(scores)[1].tobytes()
     own = dual.loss.offset(scores)
     q_offset = own.min() if dual.marginal is None else dual.marginal @ own
     formula = float(dual.half_width @ np.abs(w) - dual.midpoint @ w - q_offset)

@@ -52,7 +52,7 @@ def full_subset_lp(box, atoms):
     sizes = np.tile(masks.sum(axis=1), atoms.count)
     # row (j, S): the sum over labels in S of pattern j's label-block vectors
     rows = (masks @ label_blocks(atoms.patterns, K).reshape(-1, K, m)).reshape(-1, m)
-    w, _ = solver.solve_box_lp(box, rows, sizes, 1.0 - sizes, solve_lp)
+    w = solver.solve_box_lp(box, rows, sizes, 1.0 - sizes, solve_lp)
     return ReducedObjective(ZO, box, atoms).model(w)
 
 
@@ -241,7 +241,7 @@ def test_subgradient_inequality(loss):
     ro = ReducedObjective(loss, box, atoms)
     for _ in range(50):
         w = rng.normal(size=atoms.dim)
-        value, grad = ro.value_and_subgradient(w)
+        value, grad = ro.value_and_subgradient(w)[:2]
         assert value == pytest.approx(ro.evaluate(w)[0], abs=1e-9)
         other = w + rng.normal(size=atoms.dim) * 0.3
         assert ro.evaluate(other)[0] >= value + grad @ (other - w) - 1e-8
@@ -257,7 +257,7 @@ def test_log_gradient_matches_central_differences():
         # stay away from |w| kinks so the objective is smooth at w
         w = rng.normal(size=atoms.dim)
         w = np.where(np.abs(w) < 0.1, 0.5, w)
-        _, grad = ro.value_and_subgradient(w)
+        grad = ro.value_and_subgradient(w)[1]
         fd = np.zeros_like(w)
         for i in range(w.shape[0]):
             e = np.zeros_like(w)
@@ -372,6 +372,32 @@ def test_round_budget_is_read_and_convergence_certified():
     assert full.objective_value == pytest.approx(
         full_subset_lp(box, atoms).objective_value, abs=1e-9
     )
+
+
+def test_an_exact_round_scores_the_table_once(monkeypatch):
+    # rounds are the simplex's calls back at its optima; scorings are the
+    # table's; the round's value, offsets and cut subsets share one scoring
+    box, atoms = lattice_fit_inputs(4, 4)
+    counts = {"rounds": 0, "scores": 0}
+    scores, lp = ConstraintAtoms.scores, solver.solve_lp
+
+    def counted_scores(self, weights):
+        counts["scores"] += 1
+        return scores(self, weights)
+
+    def counted_lp(c, A, b, cuts=None):
+        def counted_cuts(x):
+            counts["rounds"] += 1
+            return cuts(x)
+
+        return lp(c, A, b, cuts=counted_cuts)
+
+    monkeypatch.setattr(ConstraintAtoms, "scores", counted_scores)
+    monkeypatch.setattr(solver, "solve_lp", counted_lp)
+    model = train_zero_one_exact(box, atoms)
+    assert model.converged
+    assert counts["rounds"] >= 2
+    assert counts["scores"] == counts["rounds"]
 
 
 def test_zero_one_train_mrc_is_the_exact_path():
